@@ -3,6 +3,8 @@ unitaries: induced-channel construction, degradability classification,
 coherent-information optimizers, and the associated numerical experiments.
 """
 
+__version__ = "0.1.0"
+
 from .canonical import (
     CNOT,
     DCNOT,
@@ -65,5 +67,3 @@ from .linalg import (
     partial_trace,
     tensor,
 )
-
-__version__ = "0.1.0"

@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import BipartiteUnitary
-from .linalg import check_unitary
+from .channels import BipartiteUnitary, as_two_qubit
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -123,14 +122,7 @@ def decompose_params(u, tol: float = 1e-8) -> CanonicalParams:
     assignment satisfies the tetrahedron constraints within ``tol``
     (numerically degenerate input).
     """
-    if isinstance(u, BipartiteUnitary):
-        if not u.is_two_qubit:
-            raise ValueError("canonical parameters are defined for two-qubit gates")
-        m = u.matrix
-    else:
-        m = check_unitary(u)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4x4 unitary")
+    m = as_two_qubit(u).matrix
     t = MAGIC.conj().T @ m @ MAGIC
     t = t / np.linalg.det(t) ** 0.25
     eig = np.linalg.eigvals(t.T @ t)

@@ -25,8 +25,7 @@ from scipy.optimize import minimize
 from .channels import (
     BipartiteUnitary,
     KrausChannel,
-    apply_channel,
-    complement_channel,
+    as_two_qubit,
     entangled_env_channel,
 )
 from .degradability import (
@@ -40,6 +39,8 @@ from .linalg import (
     bloch_state,
     check_density_matrix,
     check_state_vector,
+    eigh2,
+    entropy,
     entropy_from_eigvals,
     maximally_entangled,
     partial_trace,
@@ -92,32 +93,20 @@ def coherent_info(c: KrausChannel, rho, validate: bool = True) -> float:
     """S(N(rho)) - S(N~(rho)) in bits."""
     if validate:
         rho = check_density_matrix(rho)
-    out = apply_channel(c, rho)
-    comp = apply_channel(complement_channel(c), rho)
-    return (entropy_from_eigvals(np.linalg.eigvalsh(out))
-            - entropy_from_eigvals(np.linalg.eigvalsh(comp)))
+    return float(_coherent_info(np.stack(c.kraus), np.asarray(rho, dtype=complex)))
 
 
-def _coherent_info_fast(kraus: np.ndarray, rho: np.ndarray) -> float:
-    """Coherent information from a stacked Kraus array (k, out, in)."""
-    out = np.einsum("kba,ac,kdc->bd", kraus, rho, kraus.conj())
-    comp = np.einsum("kba,ac,lbc->kl", kraus, rho, kraus.conj())
-    return (entropy_from_eigvals(np.linalg.eigvalsh(out))
-            - entropy_from_eigvals(np.linalg.eigvalsh(comp)))
+def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
+    """Coherent information from Kraus stacks (..., k, out, in) and inputs
+    (..., in, in), broadcast over the leading axes.
 
-
-def _entropy2_batch(m: np.ndarray) -> np.ndarray:
-    """Entropies of a batch of 2x2 Hermitian PSD matrices (closed form)."""
-    a = m[..., 0, 0].real
-    d = m[..., 1, 1].real
-    b = m[..., 0, 1]
-    half = (a + d) / 2
-    r = np.sqrt(np.maximum(((a - d) / 2) ** 2 + np.abs(b) ** 2, 0.0))
-    return _xlx(half - r) + _xlx(half + r)
-
-
-def _xlx(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 1e-12, -x * np.log2(np.where(x > 1e-12, x, 1.0)), 0.0)
+    The complement comes from the canonical dilation of the Kraus list.
+    """
+    e = "" if kraus.ndim == 3 and rho.ndim == 2 else "..."
+    kc = kraus.conj()
+    out = np.einsum(f"{e}kba,{e}ac,{e}kdc->{e}bd", kraus, rho, kc)
+    comp = np.einsum(f"{e}kba,{e}ac,{e}lbc->{e}kl", kraus, rho, kc)
+    return entropy(out, validate=False) - entropy(comp, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +147,7 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
             starts.append(x)
 
     def objective(x):
-        return _coherent_info_fast(kraus, bloch_density(_clip_ball(x)))
+        return _coherent_info(kraus, bloch_density(_clip_ball(x)))
 
     best_x, best_v = starts[0], -np.inf
     restart_values = []
@@ -181,18 +170,9 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
 # separable-helper capacity of a two-qubit gate
 # ---------------------------------------------------------------------------
 
-def _rho_candidates() -> tuple[np.ndarray, np.ndarray]:
-    """Small fixed set of Bloch vectors used for coarse grid scoring."""
-    vecs = [np.zeros(3)]
-    for r in (0.5, 0.97):
-        for v in np.vstack([np.eye(3), -np.eye(3)]):
-            vecs.append(r * v)
-    vecs = np.array(vecs)
-    bx, by, bz = vecs[:, 0], vecs[:, 1], vecs[:, 2]
-    one = np.ones_like(bx)
-    rhos = 0.5 * np.stack([np.stack([one + bz, bx - 1j * by], -1),
-                           np.stack([bx + 1j * by, one - bz], -1)], -2)
-    return vecs, rhos.astype(complex)
+#: Bloch vectors of the input states used for coarse grid scoring.
+_RHO_CANDIDATES = np.vstack([np.zeros(3)] + [r * np.vstack([np.eye(3), -np.eye(3)])
+                                             for r in (0.5, 0.97)])
 
 
 def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -207,7 +187,7 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
     the diagnostics.
     """
     opts = opts or OptimizerOptions()
-    v = v if isinstance(v, BipartiteUnitary) else BipartiteUnitary(np.asarray(v, complex))
+    v = as_two_qubit(v)
     etas, thetas, phis = bloch_sphere_grid(opts.grid, opts.grid)
     idx = batch_degradability_index(v, etas)
     mask = idx > SYMMETRIC_TOL
@@ -218,27 +198,22 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
         return CapacityResult(0.0, diagnostics=diag)
 
     kraus = batch_effective_kraus(v, etas[mask])
-    vecs, rhos = _rho_candidates()
-    out = np.einsum("nfba,mac,nfdc->nmbd", kraus, rhos, kraus.conj())
-    comp = np.einsum("nfba,mac,ngbc->nmfg", kraus, rhos, kraus.conj())
-    scores = _entropy2_batch(out) - _entropy2_batch(comp)
+    rhos = bloch_density(_RHO_CANDIDATES)
+    scores = _coherent_info(kraus[:, None], rhos)
     cell_best = scores.max(axis=1)
     order = np.argsort(cell_best)[::-1][: opts.restarts]
     midx = np.nonzero(mask)[0]
 
-    v4 = v.matrix.reshape(2, 2, 2, 2)
-
     def objective(z):
-        eta = bloch_state(z[0], z[1])
-        k = np.einsum("bfae,e->fba", v4, eta)
-        return _coherent_info_fast(k, bloch_density(_clip_ball(z[2:])))
+        k = batch_effective_kraus(v, bloch_state(z[0], z[1]))
+        return _coherent_info(k, bloch_density(_clip_ball(z[2:])))
 
     best_v = float(cell_best[order[0]])
     best_z = None
     restart_values = []
     for o in order:
         gi = midx[o]
-        x0 = vecs[int(np.argmax(scores[o]))]
+        x0 = _RHO_CANDIDATES[int(np.argmax(scores[o]))]
         z0 = np.concatenate([[thetas[gi], phis[gi]], x0])
         z, val, _ = _simplex_max(objective, z0, 0.2, opts.tol, 4 * opts.max_iters)
         restart_values.append(val)
@@ -273,43 +248,16 @@ _JAMMER_ETA_GRID_N = 17
 _JAMMER_RHO_GRID_N = 9
 
 
-def _eig2_with_vectors(rho: np.ndarray):
-    """Batched 2x2 Hermitian eigendecomposition, ascending eigenvalues."""
-    a = rho[..., 0, 0].real
-    d = rho[..., 1, 1].real
-    b = rho[..., 0, 1]
-    half = (a + d) / 2
-    r = np.sqrt(np.maximum(((a - d) / 2) ** 2 + np.abs(b) ** 2, 0.0))
-    lo, hi = half - r, half + r
-    off = np.abs(b) > 1e-14
-    v0 = np.where(off, b, np.where(a >= d, 1.0 + 0j, 0.0 + 0j))
-    v1 = np.where(off, hi - a, np.where(a >= d, 0.0 + 0j, 1.0 + 0j))
-    nrm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
-    v0, v1 = v0 / nrm, v1 / nrm
-    vecs = np.stack([np.stack([-np.conj(v1), v0], -1),
-                     np.stack([np.conj(v0), v1], -1)], -1)
-    return np.stack([lo, hi], -1), vecs
-
-
 def _jammer_kraus_batch(v: BipartiteUnitary, etas_bloch: np.ndarray) -> np.ndarray:
-    """Kraus stacks (n, 4, 2, 2) for mixed environment Bloch vectors."""
-    bx, by, bz = etas_bloch[:, 0], etas_bloch[:, 1], etas_bloch[:, 2]
-    one = np.ones_like(bx)
-    rho = 0.5 * np.stack([np.stack([one + bz, bx - 1j * by], -1),
-                          np.stack([bx + 1j * by, one - bz], -1)], -2).astype(complex)
-    vals, vecs = _eig2_with_vectors(rho)
-    v4 = v.matrix.reshape(2, 2, 2, 2)
-    kfj = np.einsum("bfae,nej->nfjba", v4, vecs)
-    k = np.sqrt(np.maximum(vals, 0.0))[:, None, :, None, None] * kfj
-    return k.reshape(k.shape[0], 4, 2, 2)
+    """Kraus stacks (..., 4, 2, 2) for mixed environment Bloch vectors.
 
-
-def _jammer_ic_batch(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    out = np.einsum("nkba,ac,nkdc->nbd", kraus, rho, kraus.conj())
-    s_out = _entropy2_batch(out)
-    comp = np.einsum("nkba,ac,nlbc->nkl", kraus, rho, kraus.conj())
-    s_comp = _xlx(np.linalg.eigvalsh(comp)).sum(-1)
-    return s_out - s_comp
+    Each spectral component eta = sum_j p_j |e_j><e_j| contributes the
+    pure-state Kraus pair of |e_j>, scaled by sqrt(p_j).
+    """
+    p, vecs = eigh2(bloch_density(etas_bloch))
+    k = batch_effective_kraus(v, np.swapaxes(vecs, -1, -2))  # (..., j, f, b, a)
+    k = np.sqrt(np.maximum(p, 0.0))[..., None, None, None] * k
+    return k.reshape(k.shape[:-4] + (4, 2, 2))
 
 
 def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -323,22 +271,19 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     certified optimum; grids are recorded in the diagnostics.
     """
     opts = opts or OptimizerOptions()
-    v = v if isinstance(v, BipartiteUnitary) else BipartiteUnitary(np.asarray(v, complex))
-    if not v.is_two_qubit:
-        raise ValueError("jammer value is implemented for two-qubit gates")
+    v = as_two_qubit(v)
     eta_grid = _ball_grid(_JAMMER_ETA_GRID_N)
     kraus_grid = _jammer_kraus_batch(v, eta_grid)
 
     def inner_min(rho, refine: bool):
-        vals = _jammer_ic_batch(kraus_grid, rho)
+        vals = _coherent_info(kraus_grid, rho)
         i = int(np.argmin(vals))
         best = float(vals[i])
         arg = eta_grid[i]
         if refine:
             def f(x):
-                k = _jammer_kraus_batch(v, _clip_ball(x)[None, :])
-                return float(_jammer_ic_batch(k, rho)[0])
-            x, negv, _ = _simplex_max(lambda x: -f(x), eta_grid[i], 0.15,
+                return -_coherent_info(_jammer_kraus_batch(v, x), rho)
+            x, negv, _ = _simplex_max(f, eta_grid[i], 0.15,
                                       1e-7, opts.max_iters)
             if -negv < best:
                 best, arg = -negv, _clip_ball(x)
@@ -403,8 +348,8 @@ class TwoCopySpec:
 def standard_two_copy(w, v) -> TwoCopySpec:
     """|0> on A', maximally entangled pairs on E'E and AR."""
     return TwoCopySpec(
-        w=w if isinstance(w, BipartiteUnitary) else BipartiteUnitary(np.asarray(w, complex)),
-        v=v if isinstance(v, BipartiteUnitary) else BipartiteUnitary(np.asarray(v, complex)),
+        w=as_two_qubit(w),
+        v=as_two_qubit(v),
         aprime_state=np.array([1, 0], complex),
         env_state=maximally_entangled(2),
         input_state=maximally_entangled(2),
@@ -419,8 +364,8 @@ def theta_two_copy(w, v, theta: float) -> TwoCopySpec:
     inp[0] = np.sqrt(theta)
     inp[3] = np.sqrt(1.0 - theta)
     return TwoCopySpec(
-        w=w if isinstance(w, BipartiteUnitary) else BipartiteUnitary(np.asarray(w, complex)),
-        v=v if isinstance(v, BipartiteUnitary) else BipartiteUnitary(np.asarray(v, complex)),
+        w=as_two_qubit(w),
+        v=as_two_qubit(v),
         aprime_state=np.array([0, 1], complex),
         env_state=maximally_entangled(2),
         input_state=inp,
@@ -442,12 +387,19 @@ def two_copy_coherent_info(spec: TwoCopySpec) -> float:
     dims = (2, 2, 2, 2, 2)
     rho_bb = partial_trace(out, dims, keep=(0, 2))
     rho_ff = partial_trace(out, dims, keep=(1, 3))
-    return (entropy_from_eigvals(np.linalg.eigvalsh(rho_bb))
-            - entropy_from_eigvals(np.linalg.eigvalsh(rho_ff)))
+    return entropy(rho_bb, validate=False) - entropy(rho_ff, validate=False)
 
 
 def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Bisection root of ``f`` on [lo, hi]; endpoints must straddle zero."""
+    """Bisection root of ``f`` on [lo, hi]; endpoints must straddle zero.
+
+    Raises ``ValueError`` unless ``lo < hi`` and ``tol > 0``, and
+    :class:`BracketError` when f(lo) and f(hi) have the same sign.
+    """
+    if not lo < hi:
+        raise ValueError(f"bracket [{lo}, {hi}] is empty: need lo < hi")
+    if not tol > 0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol}")
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -458,6 +410,8 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
             f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # tol below the float spacing at the root
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -522,10 +476,10 @@ def _helper_objective(gamma, lam, mu):
     p10 = mu * (1 - lam) * stay
     half = (p00 + p11) / 2
     r = np.sqrt(((p00 - p11) / 2) ** 2 + coh ** 2)
-    s_hb = _xlx(half + r) + _xlx(half - r) + _xlx(p01) + _xlx(p10)
     f0 = lam * mu + lam * (1 - mu) * stay + mu * (1 - lam) * hop
     f1 = (1 - lam) * (1 - mu) + lam * (1 - mu) * hop + mu * (1 - lam) * stay
-    return s_hb - (_xlx(f0) + _xlx(f1))
+    return (entropy_from_eigvals(np.stack([half + r, half - r, p01, p10], -1))
+            - entropy_from_eigvals(np.stack([f0, f1], -1)))
 
 
 def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = None) -> CapacityResult:

@@ -98,6 +98,14 @@ def _as_unitary(v) -> BipartiteUnitary:
     return BipartiteUnitary(m)
 
 
+def as_two_qubit(v) -> BipartiteUnitary:
+    """``v`` as a two-qubit gate; a raw 4x4 unitary is wrapped."""
+    v = _as_unitary(v)
+    if not v.is_two_qubit:
+        raise ValueError("expected a two-qubit gate (qubit system and environment)")
+    return v
+
+
 def effective_channel(v, eta) -> KrausChannel:
     """Channel A -> B obtained by feeding ``eta`` into the environment slot.
 

@@ -22,10 +22,9 @@ import datetime
 import json
 import sys
 
+from . import __version__
 from .capacity import BracketError
 from .experiments import EXPERIMENTS, LOCATE_TARGETS, ExperimentConfig, locate, run_experiment
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2

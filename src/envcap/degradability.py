@@ -20,14 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
-    BipartiteUnitary,
     KrausChannel,
+    as_two_qubit,
     channel_reduction_b,
     choi_state,
     effective_channel,
     kraus_normal_form,
 )
-from .linalg import check_state_vector
+from .linalg import check_state_vector, eigh2
 
 #: |index| at or below this classifies as symmetric.  The index is a
 #: determinant of exactly representable 2x2 products; its noise floor is
@@ -48,13 +48,6 @@ class Classification(NamedTuple):
     index: float
 
 
-def _require_two_qubit(v) -> BipartiteUnitary:
-    v = v if isinstance(v, BipartiteUnitary) else BipartiteUnitary(np.asarray(v, complex))
-    if not v.is_two_qubit:
-        raise ValueError("degradability classification needs qubit system and environment")
-    return v
-
-
 def degradability_index(v, eta) -> float:
     """det(2 K0^dag K0 - I) for the leading normal-form Kraus operator.
 
@@ -62,7 +55,7 @@ def degradability_index(v, eta) -> float:
     a unitary conjugation; its complement is constant, so the index is
     defined as +1.
     """
-    v = _require_two_qubit(v)
+    v = as_two_qubit(v)
     eta = check_state_vector(eta)
     ch = kraus_normal_form(effective_channel(v, eta))
     if len(ch) == 1:
@@ -117,13 +110,16 @@ def bloch_sphere_grid(n_theta: int, n_phi: int | None = None):
 
 
 def batch_effective_kraus(v, etas: np.ndarray) -> np.ndarray:
-    """Kraus operators of the effective channel for a batch of pure etas.
+    """Kraus operators of the effective channel for pure environment states.
 
-    Returns an array of shape (N, 2, 2, 2) indexed [point, kraus, row, col].
+    ``etas`` holds state vectors over its last axis; the result has shape
+    ``etas.shape[:-1] + (2, 2, 2)``, indexed [..., kraus, row, col].
     """
-    v = _require_two_qubit(v)
-    v4 = v.matrix.reshape(2, 2, 2, 2)
-    return np.einsum("bfae,ne->nfba", v4, np.asarray(etas, dtype=complex))
+    v4 = as_two_qubit(v).matrix.reshape(2, 2, 2, 2)
+    etas = np.asarray(etas, dtype=complex)
+    if etas.ndim == 1:
+        return np.einsum("bfae,e->fba", v4, etas)
+    return np.einsum("bfae,...e->...fba", v4, etas)
 
 
 def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
@@ -134,24 +130,15 @@ def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
     """
     k = batch_effective_kraus(v, etas)
     g = np.einsum("niba,njba->nij", k.conj(), k)  # Gram matrix, trace 2
-    g00 = g[:, 0, 0].real
-    g11 = g[:, 1, 1].real
-    g01 = g[:, 0, 1]
-    half = (g00 + g11) / 2
-    disc = np.sqrt(np.maximum(((g00 - g11) / 2) ** 2 + np.abs(g01) ** 2, 0.0))
-    gmax, gmin = half + disc, half - disc
-    off = np.abs(g01) > 1e-14
-    w0 = np.where(off, g01, np.where(g00 >= g11, 1.0, 0.0))
-    w1 = np.where(off, gmax - g00, np.where(g00 >= g11, 0.0, 1.0))
-    nrm = np.sqrt(np.abs(w0) ** 2 + np.abs(w1) ** 2)
-    w0, w1 = w0 / nrm, w1 / nrm
+    gw, gv = eigh2(g)
+    w0, w1 = gv[:, 0, 1], gv[:, 1, 1]  # eigenvector of the larger weight
     k0 = w0[:, None, None] * k[:, 0] + w1[:, None, None] * k[:, 1]
     p = np.einsum("nba,nbc->nac", k0.conj(), k0)
     det_p = (p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0]).real
     tr_p = (p[:, 0, 0] + p[:, 1, 1]).real
     idx = 4 * det_p - 2 * tr_p + 1
     # single-Kraus (unitary) channels carry index +1 by convention
-    return np.where(gmin < 1e-14, 1.0, idx)
+    return np.where(gw[:, 0] < 1e-14, 1.0, idx)
 
 
 def is_universally_antidegradable(v, grid: int = 64, tol: float = SYMMETRIC_TOL) -> bool:

@@ -37,8 +37,6 @@ from .degradability import (
 )
 from .linalg import bloch_state
 
-EXPERIMENTS = ("a1", "a2", "a3", "b1", "b2", "eh_swap", "region_scan",
-               "classify", "qhtens", "jammer")
 LOCATE_TARGETS = ("a1", "eh_swap")
 
 #: Default theta slices for the b2 family.
@@ -85,7 +83,7 @@ class ExperimentConfig:
         return json.dumps(d, sort_keys=True)
 
 
-def _gate_from_params(params, default) -> BipartiteUnitary:
+def _gate_from_params(params, default=(0.25, 0.25, 0.25)) -> BipartiteUnitary:
     """Canonical gate from CLI params (angles in units of pi)."""
     angles = params if params else default
     if len(angles) != 3:
@@ -155,6 +153,88 @@ def b2_best_over_theta(t: float, extra_grid: int = 33) -> tuple[float, float]:
 
 # -- experiment tables ------------------------------------------------------
 
+def _a1_rows(cfg, grid, opts):
+    ts = list(cfg.params) if cfg.params else [0.0]
+    gammas = np.linspace(0.5, 1.0, grid)
+    rows = [(g, t, a1_curve(g, t)) for t in ts for g in gammas]
+    return ("gamma", "t", "coherent_info"), rows
+
+
+def _a2_rows(cfg, grid, opts):
+    ts = np.linspace(0.0, 1.0, grid)
+    return ("t", "curve_label", "coherent_info"), [(t, "a2", a2_curve(t)) for t in ts]
+
+
+def _a3_rows(cfg, grid, opts):
+    ts = np.linspace(0.0, 1.0, grid)
+    rows = [(t, label, a3_curve(label, t)) for label, _ in A3_FAMILIES for t in ts]
+    return ("t", "curve_label", "coherent_info"), rows
+
+
+def _b1_rows(cfg, grid, opts):
+    ts = np.linspace(0.0, 1.0, grid)
+    return ("t", "curve_label", "coherent_info"), [(t, "m", b1_curve(t)) for t in ts]
+
+
+def _b2_rows(cfg, grid, opts):
+    thetas = list(cfg.params) if cfg.params else list(B2_THETAS)
+    ts = np.linspace(0.0, 1.0, grid)
+    rows = [(t, th, b2_curve(t, th)) for th in thetas for t in ts]
+    return ("t", "theta", "coherent_info"), rows
+
+
+def _eh_swap_rows(cfg, grid, opts):
+    rows = []
+    for g in np.linspace(0.0, 1.0, grid):
+        qeh = swap_power_helper_capacity(g, opts).value
+        qh = separable_helper_capacity(swap_power(g), opts).value
+        rows.append((g, qeh, qh))
+    return ("gamma", "qeh_tensor", "qh_tensor"), rows
+
+
+def _region_scan_rows(cfg, grid, opts):
+    axis = np.linspace(0.0, np.pi / 2, grid)
+    rows = []
+    for ax in axis:
+        for ay in axis[axis <= ax + 1e-12]:
+            for az in axis[axis <= ay + 1e-12]:
+                p = (float(ax), float(ay), float(az))
+                rows.append((p[0], p[1], p[2],
+                             in_antidegradable_region(p),
+                             in_degradable_region(p),
+                             is_universally_antidegradable(
+                                 canonical_unitary(p), REGION_UNIVERSAL_GRID)))
+    return ("alpha_x", "alpha_y", "alpha_z", "in_A", "in_D", "universal_numeric"), rows
+
+
+def _classify_rows(cfg, grid, opts):
+    gate = _gate_from_params(cfg.params)
+    _, thetas, phis = bloch_sphere_grid(grid, grid)
+    rows = []
+    for th, ph in zip(thetas, phis):
+        cl = classify_env(gate, bloch_state(th, ph))
+        rows.append((th, ph, cl.index, cl.tag.value))
+    return ("theta", "phi", "index", "class"), rows
+
+
+def _qhtens_rows(cfg, grid, opts):
+    res = separable_helper_capacity(_gate_from_params(cfg.params), opts)
+    return ("value", "argmax"), [(res.value, _argmax_json(res))]
+
+
+def _jammer_rows(cfg, grid, opts):
+    res = jammer_value(_gate_from_params(cfg.params), opts)
+    return ("value", "argmax"), [(res.value, _argmax_json(res))]
+
+
+#: Experiment name -> builder of (header, rows) from (config, grid, options).
+_BUILDERS = {"a1": _a1_rows, "a2": _a2_rows, "a3": _a3_rows, "b1": _b1_rows,
+             "b2": _b2_rows, "eh_swap": _eh_swap_rows,
+             "region_scan": _region_scan_rows, "classify": _classify_rows,
+             "qhtens": _qhtens_rows, "jammer": _jammer_rows}
+EXPERIMENTS = tuple(_BUILDERS)
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Compute (header, rows) for an experiment configuration."""
     if cfg.experiment not in EXPERIMENTS:
@@ -162,80 +242,7 @@ def run_experiment(cfg: ExperimentConfig):
     grid = cfg.resolved_grid()
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    opts = cfg.optimizer_options()
-
-    if cfg.experiment == "a1":
-        ts = list(cfg.params) if cfg.params else [0.0]
-        gammas = np.linspace(0.5, 1.0, grid)
-        rows = [(g, t, a1_curve(g, t)) for t in ts for g in gammas]
-        return ("gamma", "t", "coherent_info"), rows
-
-    if cfg.experiment == "a2":
-        ts = np.linspace(0.0, 1.0, grid)
-        return (("t", "curve_label", "coherent_info"),
-                [(t, "a2", a2_curve(t)) for t in ts])
-
-    if cfg.experiment == "a3":
-        ts = np.linspace(0.0, 1.0, grid)
-        rows = [(t, label, a3_curve(label, t))
-                for label, _ in A3_FAMILIES for t in ts]
-        return ("t", "curve_label", "coherent_info"), rows
-
-    if cfg.experiment == "b1":
-        ts = np.linspace(0.0, 1.0, grid)
-        return (("t", "curve_label", "coherent_info"),
-                [(t, "m", b1_curve(t)) for t in ts])
-
-    if cfg.experiment == "b2":
-        thetas = list(cfg.params) if cfg.params else list(B2_THETAS)
-        ts = np.linspace(0.0, 1.0, grid)
-        rows = [(t, th, b2_curve(t, th)) for th in thetas for t in ts]
-        return ("t", "theta", "coherent_info"), rows
-
-    if cfg.experiment == "eh_swap":
-        gammas = np.linspace(0.0, 1.0, grid)
-        rows = []
-        for g in gammas:
-            qeh = swap_power_helper_capacity(g, opts).value
-            qh = separable_helper_capacity(swap_power(g), opts).value
-            rows.append((g, qeh, qh))
-        return ("gamma", "qeh_tensor", "qh_tensor"), rows
-
-    if cfg.experiment == "region_scan":
-        axis = np.linspace(0.0, np.pi / 2, grid)
-        rows = []
-        for ax in axis:
-            for ay in axis[axis <= ax + 1e-12]:
-                for az in axis[axis <= ay + 1e-12]:
-                    p = (float(ax), float(ay), float(az))
-                    rows.append((p[0], p[1], p[2],
-                                 in_antidegradable_region(p),
-                                 in_degradable_region(p),
-                                 is_universally_antidegradable(
-                                     canonical_unitary(p), REGION_UNIVERSAL_GRID)))
-        return ("alpha_x", "alpha_y", "alpha_z", "in_A", "in_D",
-                "universal_numeric"), rows
-
-    if cfg.experiment == "classify":
-        gate = _gate_from_params(cfg.params, (0.25, 0.25, 0.25))
-        _, thetas, phis = bloch_sphere_grid(grid, grid)
-        rows = []
-        for th, ph in zip(thetas, phis):
-            cl = classify_env(gate, bloch_state(th, ph))
-            rows.append((th, ph, cl.index, cl.tag.value))
-        return ("theta", "phi", "index", "class"), rows
-
-    if cfg.experiment == "qhtens":
-        gate = _gate_from_params(cfg.params, (0.25, 0.25, 0.25))
-        res = separable_helper_capacity(gate, opts)
-        return (("value", "argmax"), [(res.value, _argmax_json(res))])
-
-    if cfg.experiment == "jammer":
-        gate = _gate_from_params(cfg.params, (0.25, 0.25, 0.25))
-        res = jammer_value(gate, opts)
-        return (("value", "argmax"), [(res.value, _argmax_json(res))])
-
-    raise AssertionError("unreachable")
+    return _BUILDERS[cfg.experiment](cfg, grid, cfg.optimizer_options())
 
 
 def _argmax_json(res) -> str:

@@ -118,21 +118,66 @@ def herm_eigvals(h, tol: float = 1e-9) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def entropy_from_eigvals(w: np.ndarray) -> float:
-    """Von Neumann entropy in bits from an eigenvalue array."""
+def _eig2_terms(m):
+    """Mean (a + d)/2, half-gap (a - d)/2, eigenvalue radius and b of
+    Hermitian 2x2 matrices [[a, b], [b*, d]] over the last two axes."""
+    m = np.asarray(m)
+    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
+    gap = (a - d) / 2
+    return (a + d) / 2, gap, np.sqrt(gap ** 2 + np.abs(b) ** 2), b
+
+
+def eigvals2(m) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian 2x2 matrices over the last two
+    axes, in closed form."""
+    half, _, r, _ = _eig2_terms(m)
+    return np.stack([half - r, half + r], -1)
+
+
+def eigh2(m) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigendecomposition of Hermitian 2x2 matrices over the
+    last two axes: ascending eigenvalues and eigenvectors as columns,
+    like ``np.linalg.eigh``."""
+    half, gap, r, b = _eig2_terms(m)
+    # upper eigenvector (gap + r, b*) or (b, r - gap), whichever sum does
+    # not cancel; a multiple of the identity (r = 0) takes (1, 0)
+    first = gap >= 0
+    v0 = np.where(first, np.where(r == 0, 1.0, gap + r), b)
+    v1 = np.where(first, np.conj(b), r - gap)
+    nrm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
+    v0, v1 = v0 / nrm, v1 / nrm
+    vecs = np.stack([np.stack([-np.conj(v1), np.conj(v0)], -1),
+                     np.stack([v0, v1], -1)], -1)
+    return np.stack([half - r, half + r], -1), vecs
+
+
+def entropy_from_eigvals(w):
+    """Von Neumann entropy in bits from eigenvalues over the last axis.
+
+    A 1-d array gives a float; a stack gives an array of entropies.
+    """
     w = np.asarray(w, dtype=float)
+    if w.ndim > 1:
+        keep = w > ENTROPY_EIG_FLOOR
+        return np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(-1)
     w = w[w > ENTROPY_EIG_FLOOR]
     if w.size == 0:
         return 0.0
     return float(-(w * np.log2(w)).sum())
 
 
-def entropy(rho, validate: bool = True) -> float:
-    """Von Neumann entropy S(rho) = -Tr rho log2 rho, in bits."""
+def entropy(rho, validate: bool = True):
+    """Von Neumann entropy S(rho) = -Tr rho log2 rho, in bits.
+
+    With ``validate=False`` a stack of matrices over the leading axes is
+    accepted; stacks of 2x2 matrices take the closed-form spectrum.
+    """
     if validate:
         rho = check_density_matrix(rho)
     else:
-        rho = as_complex_matrix(rho)
+        rho = np.asarray(rho, dtype=complex)
+    if rho.ndim > 2 and rho.shape[-2:] == (2, 2):
+        return entropy_from_eigvals(eigvals2(rho))
     return entropy_from_eigvals(np.linalg.eigvalsh(rho))
 
 
@@ -165,12 +210,6 @@ def maximally_entangled(dim: int) -> np.ndarray:
     return psi
 
 
-def basis_state(dim: int, i: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[i] = 1.0
-    return psi
-
-
 def bloch_state(theta: float, phi: float) -> np.ndarray:
     """Qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)],
@@ -178,14 +217,18 @@ def bloch_state(theta: float, phi: float) -> np.ndarray:
 
 
 def bloch_density(r) -> np.ndarray:
-    """Qubit density matrix (I + r.sigma)/2; ``r`` is clipped into the unit ball."""
+    """Qubit density matrices (I + r.sigma)/2 over the last axis of ``r``;
+    vectors outside the unit ball are scaled onto its surface."""
     r = np.asarray(r, dtype=float)
-    nrm = np.linalg.norm(r)
-    if nrm > 1.0:
-        r = r / nrm
-    bx, by, bz = r
-    return 0.5 * np.array([[1 + bz, bx - 1j * by], [bx + 1j * by, 1 - bz]],
-                          dtype=complex)
+    if r.ndim == 1:
+        nrm = np.linalg.norm(r)
+        bx, by, bz = r / nrm if nrm > 1.0 else r
+        return 0.5 * np.array([[1 + bz, bx - 1j * by], [bx + 1j * by, 1 - bz]],
+                              dtype=complex)
+    r = r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
+    bx, by, bz = r[..., 0], r[..., 1], r[..., 2]
+    return 0.5 * np.stack([np.stack([1 + bz, bx - 1j * by], -1),
+                           np.stack([bx + 1j * by, 1 - bz], -1)], -2)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ from envcap.channels import (
 )
 from envcap.capacity import (
     BracketError,
+    _jammer_kraus_batch,
     OptimizerOptions,
     coherent_info,
     entangled_helper_coherent_info,
@@ -27,6 +28,7 @@ from envcap.capacity import (
 from envcap.degradability import Degradability, classify_env
 from envcap.linalg import (
     binary_entropy,
+    bloch_density,
     check_density_matrix,
     entropy,
     haar_unitary,
@@ -164,6 +166,23 @@ class TestJammer:
         res = jammer_value(SWAP, FAST_OPTS)
         assert res.value == pytest.approx(0.0, abs=1e-6)
 
+    def test_mixed_env_kraus_matches_effective_channel(self):
+        # the spectral Kraus stack must build the channel of eta itself,
+        # not of its y-mirror conj(eta)
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            v = BipartiteUnitary(haar_unitary(4, rng))
+            r = rng.uniform(-1, 1, 3)
+            r[1] = np.sign(r[1]) * max(abs(r[1]), 0.2)
+            r *= rng.uniform(0.3, 1.0) / np.linalg.norm(r)
+            rho = random_density_matrix(2, rng)
+            want = apply_channel(effective_channel(v, bloch_density(r)), rho)
+            k = _jammer_kraus_batch(v, r)
+            got = np.einsum("kba,ac,kdc->bd", k, rho, k.conj())
+            assert np.abs(got - want).max() < 1e-12
+            stacked = _jammer_kraus_batch(v, np.stack([r, -r]))
+            assert np.abs(stacked[0] - k).max() < 1e-15
+
     def test_cnot_matches_dense_grid_oracle(self):
         # frozen from an independent dense double-grid scan (mixed input
         # and environment Bloch-ball grids): the max-min value is zero,
@@ -256,6 +275,25 @@ class TestZeroCrossing:
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(BracketError):
             find_zero_crossing(lambda x: x + 1.0, 0.0, 1.0, 1e-6)
+
+    @pytest.mark.parametrize("lo,hi,tol", [(0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
+                                           (0.0, 1.0, float("nan")),
+                                           (0.9, 0.5, 1e-6), (0.5, 0.5, 1e-6)])
+    def test_bad_inputs_rejected_before_evaluation(self, lo, hi, tol):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.7
+
+        with pytest.raises(ValueError) as exc:
+            find_zero_crossing(f, lo, hi, tol)
+        assert not isinstance(exc.value, BracketError)
+        assert calls == []
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        root = find_zero_crossing(lambda x: x - 0.3, 0.0, 1.0, 1e-300)
+        assert root == pytest.approx(0.3, abs=1e-15)
 
 
 class TestEntangledHelper:

@@ -6,6 +6,7 @@ from envcap.channels import (
     BipartiteUnitary,
     KrausChannel,
     apply_channel,
+    as_two_qubit,
     channel_reduction_b,
     choi_state,
     complement_channel,
@@ -37,6 +38,23 @@ def random_two_kraus_qubit_channel(rng):
     """Qubit channel from a random dilation with a pure qubit environment."""
     v = haar_unitary(4, rng)
     return effective_channel(v, random_pure_state(2, rng))
+
+
+class TestAsTwoQubit:
+    def test_wraps_raw_matrix_and_passes_gates_through(self):
+        g = as_two_qubit(CNOT_M)
+        assert isinstance(g, BipartiteUnitary) and g.is_two_qubit
+        assert np.array_equal(g.matrix, CNOT_M)
+        assert as_two_qubit(g) is g
+
+    @pytest.mark.parametrize("bad", [
+        BipartiteUnitary(np.eye(6, dtype=complex), dim_a=2, dim_e=3),
+        np.eye(8, dtype=complex),
+        np.ones((4, 4), dtype=complex),
+    ])
+    def test_rejects_other_gates(self, bad):
+        with pytest.raises(ValueError):
+            as_two_qubit(bad)
 
 
 class TestEffectiveChannel:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from envcap.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from envcap.experiments import ExperimentConfig, a1_curve, b2_curve, run_experiment
+from envcap.experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    a1_curve,
+    b2_curve,
+    run_experiment,
+)
 
 
 def run_cli(args, capsys):
@@ -23,6 +29,14 @@ class TestLocate:
         rc, _, err = run_cli(["locate", "a1", "--bracket", "0.0", "0.4"], capsys)
         assert rc == EXIT_NUMERICAL
         assert "sign" in err
+
+    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1"],
+                                       ["--bracket", "0.9", "0.5"]])
+    def test_bad_bisection_input(self, flags, capsys):
+        rc, out, err = run_cli(["locate", "a1", *flags], capsys)
+        assert rc == EXIT_BAD_CONFIG
+        assert out == ""
+        assert "bad configuration" in err
 
     def test_bad_target(self, capsys):
         rc, _, _ = run_cli(["locate", "b1"], capsys)
@@ -165,6 +179,10 @@ class TestExperimentTables:
         for t in (0.0, 0.5, 1.0):
             assert by[("p1", t)] == pytest.approx(by[("p2", t)], abs=1e-9)
             assert by[("q1", t)] == pytest.approx(by[("q2", t)], abs=1e-9)
+
+    def test_experiment_names_in_cli_order(self):
+        assert EXPERIMENTS == ("a1", "a2", "a3", "b1", "b2", "eh_swap", "region_scan",
+                               "classify", "qhtens", "jammer")
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

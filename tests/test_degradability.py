@@ -11,6 +11,7 @@ from envcap.channels import (
 from envcap.degradability import (
     Degradability,
     batch_degradability_index,
+    batch_effective_kraus,
     bloch_sphere_grid,
     classify_env,
     degradability_index,
@@ -66,6 +67,18 @@ class TestIndex:
             eta = random_pure_state(2, rng)
             batch = batch_degradability_index(v, eta[None, :])[0]
             assert abs(batch - degradability_index(v, eta)) < 1e-12
+
+
+    def test_batch_kraus_leading_axes(self):
+        rng = np.random.default_rng(65)
+        v = haar_unitary(4, rng)
+        etas = np.array([random_pure_state(2, rng) for _ in range(6)])
+        stacked = batch_effective_kraus(v, etas.reshape(2, 3, 2))
+        assert stacked.shape == (2, 3, 2, 2, 2)
+        for eta, k in zip(etas, stacked.reshape(6, 2, 2, 2)):
+            single = batch_effective_kraus(v, eta)
+            assert np.abs(k - single).max() < 1e-15
+            assert np.abs(single - np.stack(effective_channel(v, eta).kraus)).max() < 1e-15
 
 
 class TestClassify:

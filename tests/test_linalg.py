@@ -5,6 +5,8 @@ from envcap.linalg import (
     binary_entropy,
     bloch_density,
     check_density_matrix,
+    eigh2,
+    eigvals2,
     entropy,
     haar_unitary,
     herm_eigvals,
@@ -188,8 +190,67 @@ class TestBinaryEntropy:
             binary_entropy(x)
 
 
+class TestEigh2:
+    @staticmethod
+    def check_decomposition(m):
+        w, vecs = eigh2(m)
+        assert np.array_equal(w, eigvals2(m))
+        assert (w[..., 0] <= w[..., 1]).all()
+        assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
+        # columns are orthonormal eigenvectors: m v_j = w_j v_j
+        resid = m @ vecs - vecs * w[..., None, :]
+        assert np.abs(resid).max() < 1e-12
+        gram = np.swapaxes(vecs.conj(), -1, -2) @ vecs
+        assert np.abs(gram - np.eye(2)).max() < 1e-12
+
+    def test_random_complex_off_diagonal(self):
+        rng = np.random.default_rng(23)
+        h = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        self.check_decomposition(h + np.swapaxes(h.conj(), -1, -2))
+
+    def test_single_matrix(self):
+        rng = np.random.default_rng(24)
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        self.check_decomposition(h + h.conj().T)
+
+    def test_diagonal_and_degenerate(self):
+        ms = np.array([np.diag([0.3, 0.7]), np.diag([0.7, 0.3]), np.diag([-1.0, -1.0]),
+                       np.zeros((2, 2)), 0.5 * np.eye(2), [[0.5, 0.5j], [-0.5j, 0.5]],
+                       # nearly diagonal, either way round, and nearly scalar
+                       [[1.0, 1e-9], [1e-9, 0.0]], [[0.0, 1e-9j], [-1e-9j, 1.0]],
+                       [[1.0 - 2e-16, 1e-300], [1e-300, 1.0]]],
+                      dtype=complex)
+        self.check_decomposition(ms)
+
+    def test_leading_axes(self):
+        rng = np.random.default_rng(25)
+        h = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+        h = h + np.swapaxes(h.conj(), -1, -2)
+        w, vecs = eigh2(h)
+        assert w.shape == (3, 4, 2) and vecs.shape == (3, 4, 2, 2)
+        self.check_decomposition(h)
+
+
+class TestStackedEntropy:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_per_matrix(self, dim):
+        rng = np.random.default_rng(26)
+        rhos = np.array([random_density_matrix(dim, rng) for _ in range(12)]
+                        + [projector(random_pure_state(dim, rng)),
+                           maximally_mixed(dim)])
+        stacked = entropy(rhos.reshape(2, 7, dim, dim), validate=False)
+        assert stacked.shape == (2, 7)
+        single = [entropy(r, validate=False) for r in rhos]
+        assert np.abs(stacked.ravel() - single).max() < 1e-12
+
+
 def test_bloch_density_validity():
     rng = np.random.default_rng(22)
-    for _ in range(20):
-        r = rng.uniform(-2, 2, 3)
+    rs = rng.uniform(-2, 2, (20, 3))
+    for r in rs:
         check_density_matrix(bloch_density(r))
+    # a stack clips each vector the way single calls do
+    stacked = bloch_density(rs.reshape(4, 5, 3))
+    assert stacked.shape == (4, 5, 2, 2)
+    assert np.abs(stacked.reshape(20, 2, 2)
+                  - np.array([bloch_density(r) for r in rs])).max() < 1e-15
