@@ -57,6 +57,9 @@ HELPER_CAPACITY_FLOOR = 5e-6
 #: helper-capacity optimum migrates as the swap exponent grows.
 _CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
 
+#: Seed of the random restart points drawn by :func:`max_coherent_info`.
+_RESTART_SEED = 1234
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -64,13 +67,16 @@ class OptimizerOptions:
     grid: int = 64
     tol: float = 1e-8
     max_iters: int = 500
-    seed: int = 1234
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
+        if self.grid < 2:
+            raise ValueError("grid must be >= 2")
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -139,7 +145,7 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
     if c.dim_in != 2:
         raise ValueError("input maximization is implemented for qubit inputs")
     kraus = np.stack(c.kraus)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(_RESTART_SEED)
     starts = [np.zeros(3)]
     while len(starts) < opts.restarts:
         x = rng.uniform(-1.0, 1.0, 3)
@@ -268,7 +274,8 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     Cartesian Bloch-ball grid plus simplex refinement); the outer
     maximization over input states uses a coarser ball grid with simplex
     refinement.  The value is a grid-and-refine estimate, not a
-    certified optimum; grids are recorded in the diagnostics.
+    certified optimum; grids and the raw value (before the clamp at zero,
+    a rate that is always achievable) are recorded in the diagnostics.
     """
     opts = opts or OptimizerOptions()
     v = as_two_qubit(v)
@@ -305,10 +312,11 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     best_rho = bloch_density(_clip_ball(x))
     _, eta_arg = inner_min(best_rho, refine=True)
     return CapacityResult(
-        value=float(val),
+        value=max(0.0, float(val)),
         argmax_input=best_rho,
         argmax_env=bloch_density(eta_arg),
-        diagnostics={"inner_grid": _JAMMER_ETA_GRID_N,
+        diagnostics={"raw_value": float(val),
+                     "inner_grid": _JAMMER_ETA_GRID_N,
                      "outer_grid": _JAMMER_RHO_GRID_N,
                      "outer_nfev": nfev,
                      "coarse_outer_best": float(scores[i0])},
@@ -431,6 +439,23 @@ def entangled_helper_coherent_info(v, kappa, rho, dim_h: int | None = None) -> f
     return coherent_info(entangled_env_channel(v, kappa, dim_h), rho)
 
 
+def _helper_terms(gamma, lam, mu):
+    """Closed-form entries of the entangled-helper outputs: the diagonal of
+    rho_hb, its |00><11| coherence as root * z, and the diagonal of rho_f."""
+    stay = np.cos(np.pi * gamma / 2) ** 2
+    hop = np.sin(np.pi * gamma / 2) ** 2
+    p00 = lam * (mu + (1 - mu) * hop)
+    p11 = (1 - lam) * ((1 - mu) + mu * hop)
+    root = np.sqrt(np.maximum(lam * (1 - lam), 0.0))
+    z = (0.5 - mu / 2 * np.exp(-1j * np.pi * gamma)
+         - (1 - mu) / 2 * np.exp(1j * np.pi * gamma))
+    p01 = lam * (1 - mu) * stay
+    p10 = mu * (1 - lam) * stay
+    f0 = lam * mu + lam * (1 - mu) * stay + mu * (1 - lam) * hop
+    f1 = (1 - lam) * (1 - mu) + lam * (1 - mu) * hop + mu * (1 - lam) * stay
+    return (p00, p01, p10, p11), root, z, (f0, f1)
+
+
 def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
     """Closed-form output states of the fractional swap with an entangled
     helper.
@@ -442,44 +467,20 @@ def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
     """
     if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
         raise ValueError("lam and mu must lie in [0, 1]")
-    phase = np.exp(1j * np.pi * gamma)
-    stay = abs((1 + phase) / 2) ** 2     # cos^2(pi gamma / 2)
-    hop = abs((1 - phase) / 2) ** 2      # sin^2(pi gamma / 2)
-    rho_hb = np.zeros((4, 4), dtype=complex)
-    rho_hb[0, 0] = lam * (mu + (1 - mu) * hop)
-    rho_hb[3, 3] = (1 - lam) * ((1 - mu) + mu * hop)
-    coh = np.sqrt(lam * (1 - lam)) * (0.5 - mu / 2 * np.conj(phase)
-                                      - (1 - mu) / 2 * phase)
-    rho_hb[0, 3] = coh
-    rho_hb[3, 0] = np.conj(coh)
-    rho_hb[1, 1] = lam * (1 - mu) * stay
-    rho_hb[2, 2] = mu * (1 - lam) * stay
-    rho_f = np.diag([
-        lam * mu + lam * (1 - mu) * stay + mu * (1 - lam) * hop,
-        (1 - lam) * (1 - mu) + lam * (1 - mu) * hop + mu * (1 - lam) * stay,
-    ]).astype(complex)
-    return rho_hb, rho_f
+    diag_hb, root, z, diag_f = _helper_terms(gamma, lam, mu)
+    rho_hb = np.diag(diag_hb).astype(complex)
+    rho_hb[0, 3], rho_hb[3, 0] = root * z, root * np.conj(z)
+    return rho_hb, np.diag(diag_f).astype(complex)
 
 
 def _helper_objective(gamma, lam, mu):
     """Vectorized entropy difference of the closed-form output states."""
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    stay = np.cos(np.pi * gamma / 2) ** 2
-    hop = np.sin(np.pi * gamma / 2) ** 2
-    p00 = lam * (mu + (1 - mu) * hop)
-    p11 = (1 - lam) * ((1 - mu) + mu * hop)
-    coh = np.sqrt(np.maximum(lam * (1 - lam), 0.0)) * np.abs(
-        0.5 - mu / 2 * np.exp(-1j * np.pi * gamma)
-        - (1 - mu) / 2 * np.exp(1j * np.pi * gamma))
-    p01 = lam * (1 - mu) * stay
-    p10 = mu * (1 - lam) * stay
+    (p00, p01, p10, p11), root, z, f = _helper_terms(
+        gamma, np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     half = (p00 + p11) / 2
-    r = np.sqrt(((p00 - p11) / 2) ** 2 + coh ** 2)
-    f0 = lam * mu + lam * (1 - mu) * stay + mu * (1 - lam) * hop
-    f1 = (1 - lam) * (1 - mu) + lam * (1 - mu) * hop + mu * (1 - lam) * stay
+    r = np.sqrt(((p00 - p11) / 2) ** 2 + (root * np.abs(z)) ** 2)
     return (entropy_from_eigvals(np.stack([half + r, half - r, p01, p10], -1))
-            - entropy_from_eigvals(np.stack([f0, f1], -1)))
+            - entropy_from_eigvals(np.stack(f, -1)))
 
 
 def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -491,10 +492,10 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
     geometrically spaced points next to the mu corners (the optimum
     migrates there as gamma grows).  Values below the resolution floor
     are reported as exactly zero; the raw optimum is kept in the
-    diagnostics.
+    diagnostics.  ``opts.tol`` is unused: the 1e-5 simplex tolerance is tied to the floor.
     """
     opts = opts or OptimizerOptions()
-    n = max(2, opts.grid)
+    n = opts.grid
     xs = np.linspace(0.0, 1.0, n)
     lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
     vals = _helper_objective(gamma, lam_g, mu_g)

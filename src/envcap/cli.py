@@ -2,14 +2,15 @@
 
 Usage::
 
-    envcap <experiment> [--grid N] [--tol X] [--seed S] [--params a,b,c]
+    envcap <experiment> [--grid N] [--tol X] [--params a,b,c]
            [--out PATH] [--format csv|json] [--no-timestamp] [--config FILE]
     envcap locate <a1|eh_swap> [--bracket LO HI] [--tol X] [--grid N] ...
 
 Experiments write a CSV table (or one JSON object per row) that is
 byte-identical across runs for identical configuration; the timestamp
 metadata line is suppressed by ``--no-timestamp``.  Gate angles given
-through ``--params`` are in units of pi.
+through ``--params`` are in units of pi.  A flag or config key that the
+chosen command does not read is a configuration error.
 
 Exit codes: 0 success, 2 bad configuration, 3 output I/O failure,
 4 numerical precondition failure (e.g. a same-sign bisection bracket).
@@ -24,7 +25,7 @@ import sys
 
 from . import __version__
 from .capacity import BracketError
-from .experiments import EXPERIMENTS, LOCATE_TARGETS, ExperimentConfig, locate, run_experiment
+from .experiments import COMMANDS, EXPERIMENTS, ExperimentConfig, run_experiment
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -37,8 +38,6 @@ def _format_value(x) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return f"{x:.16e}"
-    if isinstance(x, (int,)):
-        return str(x)
     s = str(x)
     if any(c in s for c in ",\"\n"):
         s = '"' + s.replace('"', '""') + '"'
@@ -61,9 +60,7 @@ def _rows_to_json(header, rows) -> str:
     for row in rows:
         obj = {}
         for key, x in zip(header, row):
-            if isinstance(x, float):
-                obj[key] = float(x)
-            elif isinstance(x, (bool, int)):
+            if isinstance(x, (bool, int, float)):
                 obj[key] = x
             else:
                 obj[key] = str(x)
@@ -71,62 +68,54 @@ def _rows_to_json(header, rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must contain a JSON object")
-    return doc
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split(",") if x.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each dest names the config field its flag sets; flags not given are absent
     p = argparse.ArgumentParser(prog="envcap", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+                                formatter_class=argparse.RawDescriptionHelpFormatter,
+                                argument_default=argparse.SUPPRESS)
     p.add_argument("command", choices=list(EXPERIMENTS) + ["locate"],
                    help="experiment name, or 'locate' for zero crossings")
     p.add_argument("target", nargs="?", default=None,
                    help="curve for 'locate' (a1 or eh_swap)")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--params", type=str, default=None,
+    p.add_argument("--grid", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--params", type=_floats,
                    help="comma-separated reals; gate angles in units of pi")
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--bracket", nargs=2, type=float, default=None, metavar=("LO", "HI"))
+    p.add_argument("--out", dest="output_path", help="output path (default stdout)")
+    p.add_argument("--bracket", nargs=2, type=float, metavar=("LO", "HI"))
     p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON config file; explicit flags override it")
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--config", help="JSON config file; explicit flags override it")
     return p
 
 
 def _merge_config(args) -> ExperimentConfig:
-    doc = _load_config(args.config) if args.config else {}
-    experiment = args.target if args.command == "locate" else args.command
-    if experiment is None:
-        experiment = doc.get("experiment")
-    if args.command == "locate":
-        if experiment not in LOCATE_TARGETS:
-            raise ValueError(f"locate target must be one of {LOCATE_TARGETS}")
-    elif experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    params = doc.get("params", [])
-    if args.params is not None:
-        params = [float(x) for x in args.params.split(",") if x.strip()]
-    bracket = doc.get("bracket")
-    if args.bracket is not None:
-        bracket = args.bracket
-    return ExperimentConfig(
-        experiment=experiment,
-        grid=args.grid if args.grid is not None else doc.get("grid"),
-        tol=args.tol if args.tol is not None else doc.get("tol"),
-        seed=args.seed if args.seed is not None else doc.get("seed", 1234),
-        params=tuple(params),
-        output_path=args.out if args.out is not None else doc.get("output_path"),
-        fmt=args.fmt if args.fmt is not None else doc.get("format", "csv"),
-        no_timestamp=bool(args.no_timestamp or doc.get("no_timestamp", False)),
-        bracket=tuple(bracket) if bracket else None,
-    )
+    """The config file's fields, overridden by the flags given.  A field
+    the chosen command does not read is an error."""
+    flags = dict(vars(args))
+    command, target = flags.pop("command"), flags.pop("target")
+    fields = {}
+    if "config" in flags:
+        with open(flags.pop("config"), "r", encoding="utf-8") as fh:
+            fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ValueError("config file must contain a JSON object")
+    fields.update(flags)
+    if command == "locate":
+        command = f"locate {target or fields.get('experiment')}"
+    elif target is not None:
+        raise ValueError(f"only locate takes a target, not {command}")
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
+    fields["experiment"] = command
+    unread = set(fields) - COMMANDS[command].reads - {"experiment"}
+    if unread:
+        raise ValueError(f"{command} does not read {', '.join(sorted(unread))}")
+    return ExperimentConfig(**fields)
 
 
 def _emit(cfg: ExperimentConfig, text: str) -> None:
@@ -138,21 +127,20 @@ def _emit(cfg: ExperimentConfig, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"envcap: bad configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     try:
+        result = run_experiment(cfg)
         if args.command == "locate":
-            root = locate(cfg)
-            print(f"{root:.6f}")
+            print(f"{result:.6f}")
             return EXIT_OK
-        header, rows = run_experiment(cfg)
-        if cfg.fmt == "json":
+        header, rows = result
+        if cfg.format == "json":
             text = _rows_to_json(header, rows)
         else:
             text = _rows_to_csv(cfg, header, rows)

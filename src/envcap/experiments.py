@@ -1,14 +1,15 @@
-"""Dataset builders for the command-line experiments.
+"""The command table: dataset builders and zero-crossing targets of the CLI.
 
 Each experiment produces a header and a list of rows with deterministic
-values; the CLI handles formatting and I/O.  Gate angles arriving from
-the command line are in units of pi.
+values, each ``locate`` target a root; the CLI handles formatting and
+I/O.  Gate angles arriving from the command line are in units of pi.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .degradability import (
 )
 from .linalg import bloch_state
 
-LOCATE_TARGETS = ("a1", "eh_swap")
-
 #: Default theta slices for the b2 family.
 B2_THETAS = (0.5, 2.0 ** -6, 2.0 ** -10)
 
@@ -46,39 +45,40 @@ B2_THETAS = (0.5, 2.0 ** -6, 2.0 ** -10)
 #: region_scan rows.
 REGION_UNIVERSAL_GRID = 32
 
-_DEFAULT_GRID = {"region_scan": 9, "classify": 32}
-
 
 @dataclass
 class ExperimentConfig:
+    """One run of a :data:`COMMANDS` entry; None fields take its defaults."""
+
     experiment: str
     grid: int | None = None
     tol: float | None = None
-    seed: int = 1234
     params: tuple = ()
     output_path: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     no_timestamp: bool = False
     bracket: tuple | None = None
 
-    def resolved_grid(self) -> int:
-        if self.grid is not None:
-            return self.grid
-        return _DEFAULT_GRID.get(self.experiment, 64)
+    def __post_init__(self):
+        entry = COMMANDS.get(self.experiment)
+        if entry is None:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, not {self.format!r}")
+        self.grid = entry.grid if self.grid is None else self.grid
+        self.tol = entry.tol if self.tol is None else self.tol
+        self.bracket = self.bracket or entry.bracket
 
     def optimizer_options(self) -> OptimizerOptions:
-        kw = {"seed": self.seed, "grid": self.resolved_grid()}
-        if self.tol is not None:
-            kw["tol"] = self.tol
-        return OptimizerOptions(**kw)
+        tol = OptimizerOptions.tol if self.tol is None else self.tol
+        return OptimizerOptions(grid=self.grid, tol=tol)
 
     def to_json(self) -> str:
-        # output_path is deliberately excluded: the echo describes the
-        # computation, and files written to different paths must still be
-        # byte-identical
-        d = {"experiment": self.experiment, "grid": self.resolved_grid(),
-             "tol": self.tol, "seed": self.seed, "params": list(self.params),
-             "format": self.fmt,
+        # output_path is left out, so files written to different paths match byte
+        # for byte; "seed" is a retired setting, echoed at its old value likewise.
+        d = {"experiment": self.experiment, "grid": self.grid,
+             "tol": self.tol, "seed": 1234, "params": list(self.params),
+             "format": self.format,
              "bracket": list(self.bracket) if self.bracket else None}
         return json.dumps(d, sort_keys=True)
 
@@ -151,49 +151,49 @@ def b2_best_over_theta(t: float, extra_grid: int = 33) -> tuple[float, float]:
     return vals[i], thetas[i]
 
 
-# -- experiment tables ------------------------------------------------------
+# -- command table ---------------------------------------------------------
 
-def _a1_rows(cfg, grid, opts):
+def _a1_rows(cfg, opts):
     ts = list(cfg.params) if cfg.params else [0.0]
-    gammas = np.linspace(0.5, 1.0, grid)
+    gammas = np.linspace(0.5, 1.0, cfg.grid)
     rows = [(g, t, a1_curve(g, t)) for t in ts for g in gammas]
     return ("gamma", "t", "coherent_info"), rows
 
 
-def _a2_rows(cfg, grid, opts):
-    ts = np.linspace(0.0, 1.0, grid)
+def _a2_rows(cfg, opts):
+    ts = np.linspace(0.0, 1.0, cfg.grid)
     return ("t", "curve_label", "coherent_info"), [(t, "a2", a2_curve(t)) for t in ts]
 
 
-def _a3_rows(cfg, grid, opts):
-    ts = np.linspace(0.0, 1.0, grid)
+def _a3_rows(cfg, opts):
+    ts = np.linspace(0.0, 1.0, cfg.grid)
     rows = [(t, label, a3_curve(label, t)) for label, _ in A3_FAMILIES for t in ts]
     return ("t", "curve_label", "coherent_info"), rows
 
 
-def _b1_rows(cfg, grid, opts):
-    ts = np.linspace(0.0, 1.0, grid)
+def _b1_rows(cfg, opts):
+    ts = np.linspace(0.0, 1.0, cfg.grid)
     return ("t", "curve_label", "coherent_info"), [(t, "m", b1_curve(t)) for t in ts]
 
 
-def _b2_rows(cfg, grid, opts):
+def _b2_rows(cfg, opts):
     thetas = list(cfg.params) if cfg.params else list(B2_THETAS)
-    ts = np.linspace(0.0, 1.0, grid)
+    ts = np.linspace(0.0, 1.0, cfg.grid)
     rows = [(t, th, b2_curve(t, th)) for th in thetas for t in ts]
     return ("t", "theta", "coherent_info"), rows
 
 
-def _eh_swap_rows(cfg, grid, opts):
+def _eh_swap_rows(cfg, opts):
     rows = []
-    for g in np.linspace(0.0, 1.0, grid):
+    for g in np.linspace(0.0, 1.0, cfg.grid):
         qeh = swap_power_helper_capacity(g, opts).value
         qh = separable_helper_capacity(swap_power(g), opts).value
         rows.append((g, qeh, qh))
     return ("gamma", "qeh_tensor", "qh_tensor"), rows
 
 
-def _region_scan_rows(cfg, grid, opts):
-    axis = np.linspace(0.0, np.pi / 2, grid)
+def _region_scan_rows(cfg, opts):
+    axis = np.linspace(0.0, np.pi / 2, cfg.grid)
     rows = []
     for ax in axis:
         for ay in axis[axis <= ax + 1e-12]:
@@ -207,9 +207,9 @@ def _region_scan_rows(cfg, grid, opts):
     return ("alpha_x", "alpha_y", "alpha_z", "in_A", "in_D", "universal_numeric"), rows
 
 
-def _classify_rows(cfg, grid, opts):
+def _classify_rows(cfg, opts):
     gate = _gate_from_params(cfg.params)
-    _, thetas, phis = bloch_sphere_grid(grid, grid)
+    _, thetas, phis = bloch_sphere_grid(cfg.grid, cfg.grid)
     rows = []
     for th, ph in zip(thetas, phis):
         cl = classify_env(gate, bloch_state(th, ph))
@@ -217,32 +217,68 @@ def _classify_rows(cfg, grid, opts):
     return ("theta", "phi", "index", "class"), rows
 
 
-def _qhtens_rows(cfg, grid, opts):
+def _qhtens_rows(cfg, opts):
     res = separable_helper_capacity(_gate_from_params(cfg.params), opts)
     return ("value", "argmax"), [(res.value, _argmax_json(res))]
 
 
-def _jammer_rows(cfg, grid, opts):
+def _jammer_rows(cfg, opts):
     res = jammer_value(_gate_from_params(cfg.params), opts)
     return ("value", "argmax"), [(res.value, _argmax_json(res))]
 
 
-#: Experiment name -> builder of (header, rows) from (config, grid, options).
-_BUILDERS = {"a1": _a1_rows, "a2": _a2_rows, "a3": _a3_rows, "b1": _b1_rows,
-             "b2": _b2_rows, "eh_swap": _eh_swap_rows,
-             "region_scan": _region_scan_rows, "classify": _classify_rows,
-             "qhtens": _qhtens_rows, "jammer": _jammer_rows}
-EXPERIMENTS = tuple(_BUILDERS)
+def _locate_a1(cfg, opts):
+    """Sign change of the a1 two-copy coherent information."""
+    lo, hi = cfg.bracket
+    return find_zero_crossing(a1_curve, lo, hi, cfg.tol)
+
+
+def _locate_eh_swap(cfg, opts):
+    """Where the entangled-helper maximum drops to the resolution floor: the
+    curve touches zero there rather than crossing, so the floor is the zero."""
+    lo, hi = cfg.bracket
+    return find_zero_crossing(lambda g: swap_power_helper_capacity(g, opts).value - 1e-9,
+                              lo, hi, cfg.tol)
+
+
+@dataclass(frozen=True)
+class Command:
+    """Builder, config fields it reads besides ``experiment``, defaults."""
+
+    build: Callable
+    reads: frozenset
+    grid: int = 64
+    tol: float | None = None
+    bracket: tuple | None = None
+
+
+_OUTPUT = frozenset({"output_path", "format", "no_timestamp"})
+
+#: Every command the CLI runs, keyed by its words.  Experiments build
+#: (header, rows); ``locate`` targets return a root, ``tol`` bisects it.
+COMMANDS = {
+    "a1": Command(_a1_rows, _OUTPUT | {"grid", "params"}),
+    "a2": Command(_a2_rows, _OUTPUT | {"grid"}),
+    "a3": Command(_a3_rows, _OUTPUT | {"grid"}),
+    "b1": Command(_b1_rows, _OUTPUT | {"grid"}),
+    "b2": Command(_b2_rows, _OUTPUT | {"grid", "params"}),
+    "eh_swap": Command(_eh_swap_rows, _OUTPUT | {"grid", "tol"}),
+    "region_scan": Command(_region_scan_rows, _OUTPUT | {"grid"}, grid=9),
+    "classify": Command(_classify_rows, _OUTPUT | {"grid", "params"}, grid=32),
+    "qhtens": Command(_qhtens_rows, _OUTPUT | {"grid", "tol", "params"}),
+    "jammer": Command(_jammer_rows, _OUTPUT | {"params"}),
+    "locate a1": Command(_locate_a1, frozenset({"bracket", "tol"}),
+                         tol=1e-5, bracket=(0.5, 1.0)),
+    "locate eh_swap": Command(_locate_eh_swap, frozenset({"grid", "bracket", "tol"}),
+                              tol=1e-4, bracket=(0.5, 1.0)),
+}
+EXPERIMENTS = tuple(name for name in COMMANDS if not name.startswith("locate "))
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Compute (header, rows) for an experiment configuration."""
-    if cfg.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {cfg.experiment!r}")
-    grid = cfg.resolved_grid()
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    return _BUILDERS[cfg.experiment](cfg, grid, cfg.optimizer_options())
+    """Run a table entry: (header, rows) for an experiment, the root for a
+    ``locate`` target."""
+    return COMMANDS[cfg.experiment].build(cfg, cfg.optimizer_options())
 
 
 def _argmax_json(res) -> str:
@@ -254,29 +290,3 @@ def _argmax_json(res) -> str:
 
     return json.dumps({"input": enc(res.argmax_input), "env": enc(res.argmax_env)},
                       sort_keys=True)
-
-
-def locate(cfg: ExperimentConfig) -> float:
-    """Root of the selected curve by bisection.
-
-    ``a1`` locates the sign change of the two-copy coherent information
-    along the fractional-swap axis; ``eh_swap`` locates the point where
-    the entangled-helper maximum drops to the resolution floor (the
-    curve touches zero there rather than crossing, so the floor acts as
-    the zero level).
-    """
-    if cfg.experiment == "a1":
-        t = float(cfg.params[0]) if cfg.params else 0.0
-        lo, hi = cfg.bracket if cfg.bracket else (0.5, 1.0)
-        tol = cfg.tol if cfg.tol is not None else 1e-5
-        return find_zero_crossing(lambda g: a1_curve(g, t), lo, hi, tol)
-    if cfg.experiment == "eh_swap":
-        lo, hi = cfg.bracket if cfg.bracket else (0.5, 1.0)
-        tol = cfg.tol if cfg.tol is not None else 1e-4
-        opts = OptimizerOptions(seed=cfg.seed, grid=cfg.resolved_grid())
-
-        def f(g):
-            return swap_power_helper_capacity(g, opts).value - 1e-9
-
-        return find_zero_crossing(f, lo, hi, tol)
-    raise ValueError(f"locate supports {LOCATE_TARGETS}, not {cfg.experiment!r}")

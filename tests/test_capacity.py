@@ -165,6 +165,10 @@ class TestJammer:
     def test_swap(self):
         res = jammer_value(SWAP, FAST_OPTS)
         assert res.value == pytest.approx(0.0, abs=1e-6)
+        # clamped at zero like the separable helper; the raw optimum is a
+        # round-off negative
+        assert res.value == 0.0
+        assert -1e-12 < res.diagnostics["raw_value"] <= 0.0
 
     def test_mixed_env_kraus_matches_effective_channel(self):
         # the spectral Kraus stack must build the channel of eta itself,
@@ -373,6 +377,9 @@ def test_optimizer_options_validation():
         OptimizerOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizerOptions(tol=0.0)
+    for bad in (dict(grid=0), dict(grid=1), dict(max_iters=0), dict(tol=float("nan"))):
+        with pytest.raises(ValueError):
+            OptimizerOptions(**bad)
 
 
 class TestHelperCapacity:

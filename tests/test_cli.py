@@ -1,16 +1,24 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from envcap.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from envcap import experiments
+from envcap.capacity import CapacityResult
+from envcap.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from envcap.experiments import (
+    COMMANDS,
     EXPERIMENTS,
     ExperimentConfig,
     a1_curve,
     b2_curve,
     run_experiment,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -41,6 +49,15 @@ class TestLocate:
     def test_bad_target(self, capsys):
         rc, _, _ = run_cli(["locate", "b1"], capsys)
         assert rc == EXIT_BAD_CONFIG
+
+    def test_target_only_for_locate(self, capsys):
+        rc, out, _ = run_cli(["a1", "b1", "--grid", "3"], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+
+    def test_grid_below_two_rejected(self, capsys):
+        rc, out, err = run_cli(["locate", "eh_swap", "--grid", "1"], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+        assert "grid" in err
 
 
 class TestExitCodes:
@@ -166,6 +183,125 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         rc, _, _ = run_cli(["a1", "--config", str(cfg)], capsys)
         assert rc == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("doc", [{"gird": 5}, {"seed": 7}, {"format": "xml"}])
+    def test_bad_config_key_or_value(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc, out, err = run_cli(["a1", "--grid", "3", "--config", str(cfg)], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+        assert next(iter(doc)) in err
+
+    def test_malformed_bracket(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bracket": [0.5, 0.7, 0.9]}))
+        rc, out, _ = run_cli(["locate", "a1", "--config", str(cfg)], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+
+    def test_seed_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["a1", "--grid", "3", "--seed", "7"])
+        assert exc.value.code == 2
+
+
+#: One valid setting of each config field: as flags, and as a config-file entry.
+SETTINGS = {
+    "grid": (["--grid", "3"], 3),
+    "tol": (["--tol", "0.01"], 0.01),
+    "params": (["--params", "0.5"], [0.5]),
+    "output_path": (["--out", "out.json"], "out.json"),
+    "format": (["--format", "json"], "json"),
+    "no_timestamp": (["--no-timestamp"], True),
+    "bracket": (["--bracket", "0.6", "0.9"], [0.6, 0.9]),
+}
+OUTPUT_FIELDS = {"output_path", "format", "no_timestamp"}
+
+#: Per command: flags of a quick run that set every computation field it
+#: reads, and for each of those fields a second setting that changes the
+#: result (rows, printed root or exit code).
+QUICK = {
+    "a1": (["--grid", "3", "--params", "0"],
+           {"grid": ["--grid", "4"], "params": ["--params", "0.5"]}),
+    "a2": (["--grid", "3"], {"grid": ["--grid", "4"]}),
+    "a3": (["--grid", "3"], {"grid": ["--grid", "4"]}),
+    "b1": (["--grid", "3"], {"grid": ["--grid", "4"]}),
+    "b2": (["--grid", "3", "--params", "0.5"],
+           {"grid": ["--grid", "4"], "params": ["--params", "0.25"]}),
+    "eh_swap": (["--grid", "5", "--tol", "1e-8"],
+                {"grid": ["--grid", "3"], "tol": ["--tol", "1e-3"]}),
+    "region_scan": (["--grid", "3"], {"grid": ["--grid", "4"]}),
+    "classify": (["--grid", "3", "--params", "0.3,0.2,0.1"],
+                 {"grid": ["--grid", "4"], "params": ["--params", "0.5,0.25,0"]}),
+    "qhtens": (["--grid", "8", "--tol", "1e-8", "--params", "0.3,0.2,0.1"],
+               {"grid": ["--grid", "6"], "tol": ["--tol", "1e-3"],
+                "params": ["--params", "0.4,0.2,0.1"]}),
+    "jammer": (["--params", "0.3,0.2,0.1"], {"params": ["--params", "0,0,0"]}),
+    "locate a1": (["--bracket", "0.5", "1.0", "--tol", "1e-5"],
+                  {"bracket": ["--bracket", "0.8", "0.9"], "tol": ["--tol", "0.01"]}),
+    "locate eh_swap": (["--grid", "3", "--bracket", "0.5", "1.0", "--tol", "1e-4"],
+                       {"grid": ["--grid", "2"], "bracket": ["--bracket", "0.8", "0.9"],
+                        "tol": ["--tol", "0.01"]}),
+}
+
+
+def _fake_jammer(gate, opts):
+    # stands in for the jammer search (seconds per gate); its value
+    # depends on the gate, so it shows whether --params reached it
+    return CapacityResult(float(np.trace(gate.matrix).real))
+
+
+class TestCommandTable:
+    def test_settings_cover_every_config_field(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
+        assert set(SETTINGS) == fields
+        assert set(QUICK) == set(COMMANDS)
+
+    @pytest.mark.parametrize("name,field", [(n, f) for n, c in COMMANDS.items()
+                                            for f in SETTINGS if f not in c.reads])
+    def test_unread_field_exits_2(self, name, field, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        flags, value = SETTINGS[field]
+        out_flags = ["--out", "out.json"] if "output_path" in COMMANDS[name].reads else []
+        rc, out, err = run_cli([*name.split(), *flags, *out_flags], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+        assert field in err
+        assert not (tmp_path / "out.json").exists()
+        (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
+        rc, out, err = run_cli([*name.split(), "--config", "cfg.json"], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+        assert field in err
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_read_fields_accepted_and_change_result(self, name, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "jammer_value", _fake_jammer)
+        reads = COMMANDS[name].reads
+        base, variants = QUICK[name]
+        assert set(variants) == reads - OUTPUT_FIELDS
+        out_flags = sum((SETTINGS[f][0] for f in sorted(reads & OUTPUT_FIELDS)), [])
+        out_file = tmp_path / "out.json"
+
+        def result(extra):
+            out_file.unlink(missing_ok=True)
+            rc, out, _ = run_cli([*name.split(), *base, *extra, *out_flags], capsys)
+            return rc, out, out_file.read_text() if out_file.exists() else None
+
+        want = result([])
+        assert want[0] == EXIT_OK
+        assert (want[1] == "") == bool(out_flags)
+        assert (want[2] is not None) == bool(out_flags)
+        for field, flags in variants.items():
+            assert result(flags) != want, field
+
+
+def test_readme_synopsis_matches_parser():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    documented = set(re.findall(r"--[a-z][a-z-]*", block))
+    options = {o for a in build_parser()._actions for o in a.option_strings
+               if o.startswith("--")} - {"--help"}
+    assert documented == options
 
 
 class TestExperimentTables:
