@@ -124,14 +124,27 @@ def _clip_ball(x: np.ndarray) -> np.ndarray:
     return x / r if r > 1.0 else x
 
 
-def _simplex_max(f, x0: np.ndarray, step: float, tol: float, maxiter: int):
-    """Nelder-Mead maximization of ``f`` from ``x0``; returns (x, value, nfev)."""
-    n = x0.size
-    sim = np.vstack([x0] + [x0 + step * e for e in np.eye(n)])
-    res = minimize(lambda x: -f(x), x0, method="Nelder-Mead",
-                   options=dict(initial_simplex=sim, xatol=tol, fatol=tol * 1e-2,
-                                maxiter=maxiter, maxfev=2 * maxiter))
-    return res.x, -res.fun, res.nfev
+def _maximize(f, starts, step, tol, maxiter, best=(None, -np.inf)):
+    """Best of Nelder-Mead maximizations of ``f``, one from each start.
+
+    A run replaces ``best``, an (x, value) pair, only with a strictly larger
+    value.  Returns (x, value, record): each run's value, the objective
+    calls, and how many of the runs converged.
+    """
+    best_x, best_v = best
+    values, nfev, converged = [], 0, 0
+    for x0 in starts:
+        sim = np.vstack([x0] + [x0 + step * e for e in np.eye(x0.size)])
+        res = minimize(lambda x: -f(x), x0, method="Nelder-Mead",
+                       options=dict(initial_simplex=sim, xatol=tol, fatol=tol * 1e-2,
+                                    maxiter=maxiter, maxfev=2 * maxiter))
+        values.append(-res.fun)
+        nfev += res.nfev
+        converged += bool(res.success)
+        if -res.fun > best_v:
+            best_x, best_v = res.x, -res.fun
+    return best_x, best_v, {"restart_values": values, "nfev": nfev,
+                            "converged": converged, "restarts": len(values)}
 
 
 def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -155,21 +168,10 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
     def objective(x):
         return _coherent_info(kraus, bloch_density(_clip_ball(x)))
 
-    best_x, best_v = starts[0], -np.inf
-    restart_values = []
-    nfev = 0
-    for x0 in starts:
-        x, v, ne = _simplex_max(objective, x0, 0.25, opts.tol, opts.max_iters)
-        nfev += ne
-        restart_values.append(v)
-        if v > best_v:
-            best_v, best_x = v, _clip_ball(x)
-    return CapacityResult(
-        value=float(best_v),
-        argmax_input=bloch_density(best_x),
-        diagnostics={"restart_values": restart_values, "nfev": nfev,
-                     "restart_spread": float(np.ptp(restart_values))},
-    )
+    x, value, record = _maximize(objective, starts, 0.25, opts.tol, opts.max_iters,
+                                 best=(starts[0], -np.inf))
+    return CapacityResult(value=float(value), argmax_input=bloch_density(_clip_ball(x)),
+                          diagnostics=record)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +195,24 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
     the diagnostics.
     """
     opts = opts or OptimizerOptions()
+    if opts.grid < 3:
+        raise ValueError("the separable helper needs grid >= 3: "
+                         "grid 2 holds only the poles |0> and |1>")
     v = as_two_qubit(v)
     etas, thetas, phis = bloch_sphere_grid(opts.grid, opts.grid)
     idx = batch_degradability_index(v, etas)
     mask = idx > SYMMETRIC_TOL
     diag = {"grid": opts.grid, "n_degradable": int(mask.sum()),
             "n_grid": int(mask.size)}
-    if not mask.any():
-        diag["raw_value"] = 0.0
-        return CapacityResult(0.0, diagnostics=diag)
+
+    def objective(z):
+        k = batch_effective_kraus(v, bloch_state(z[0], z[1]))
+        return _coherent_info(k, bloch_density(_clip_ball(z[2:])))
+
+    maxiter = 4 * opts.max_iters
+    if not mask.any():  # nothing to refine: a record of zero restarts
+        record = _maximize(objective, [], 0.2, opts.tol, maxiter)[2]
+        return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, **record})
 
     kraus = batch_effective_kraus(v, etas[mask])
     rhos = bloch_density(_RHO_CANDIDATES)
@@ -209,28 +220,14 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
     cell_best = scores.max(axis=1)
     order = np.argsort(cell_best)[::-1][: opts.restarts]
     midx = np.nonzero(mask)[0]
-
-    def objective(z):
-        k = batch_effective_kraus(v, bloch_state(z[0], z[1]))
-        return _coherent_info(k, bloch_density(_clip_ball(z[2:])))
-
-    best_v = float(cell_best[order[0]])
-    best_z = None
-    restart_values = []
-    for o in order:
-        gi = midx[o]
-        x0 = _RHO_CANDIDATES[int(np.argmax(scores[o]))]
-        z0 = np.concatenate([[thetas[gi], phis[gi]], x0])
-        z, val, _ = _simplex_max(objective, z0, 0.2, opts.tol, 4 * opts.max_iters)
-        restart_values.append(val)
-        if val > best_v:
-            best_v, best_z = val, z
-    diag["raw_value"] = best_v
-    diag["restart_values"] = restart_values
-    result = CapacityResult(max(0.0, best_v), diagnostics=diag)
-    if best_z is not None:
-        result.argmax_env = bloch_state(best_z[0], best_z[1])
-        result.argmax_input = bloch_density(_clip_ball(best_z[2:]))
+    starts = [np.concatenate([[thetas[midx[o]], phis[midx[o]]],
+                              _RHO_CANDIDATES[int(np.argmax(scores[o]))]]) for o in order]
+    z, raw, record = _maximize(objective, starts, 0.2, opts.tol, maxiter,
+                               best=(None, float(cell_best[order[0]])))
+    result = CapacityResult(max(0.0, raw), diagnostics={**diag, "raw_value": raw, **record})
+    if z is not None:
+        result.argmax_env = bloch_state(z[0], z[1])
+        result.argmax_input = bloch_density(_clip_ball(z[2:]))
     else:
         gi = midx[order[0]]
         result.argmax_env = etas[gi]
@@ -282,35 +279,22 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     eta_grid = _ball_grid(_JAMMER_ETA_GRID_N)
     kraus_grid = _jammer_kraus_batch(v, eta_grid)
 
-    def inner_min(rho, refine: bool):
+    def inner_min(rho):
         vals = _coherent_info(kraus_grid, rho)
         i = int(np.argmin(vals))
-        best = float(vals[i])
-        arg = eta_grid[i]
-        if refine:
-            def f(x):
-                return -_coherent_info(_jammer_kraus_batch(v, x), rho)
-            x, negv, _ = _simplex_max(f, eta_grid[i], 0.15,
-                                      1e-7, opts.max_iters)
-            if -negv < best:
-                best, arg = -negv, _clip_ball(x)
-        return best, arg
+        x, negv, _ = _maximize(lambda e: -_coherent_info(_jammer_kraus_batch(v, e), rho),
+                               [eta_grid[i]], 0.15, 1e-7, opts.max_iters,
+                               best=(eta_grid[i], -float(vals[i])))
+        return -negv, _clip_ball(x)
 
     rho_grid = _ball_grid(_JAMMER_RHO_GRID_N)
-    scores = np.array([inner_min(bloch_density(x), refine=False)[0]
+    scores = np.array([_coherent_info(kraus_grid, bloch_density(x)).min()
                        for x in rho_grid])
     i0 = int(np.argmax(scores))
-
-    def outer(x):
-        return inner_min(bloch_density(_clip_ball(x)), refine=True)[0]
-
-    x, val, nfev = _simplex_max(outer, rho_grid[i0], 0.2, 1e-6,
-                                max(60, opts.max_iters // 4))
-    v_grid, _ = inner_min(bloch_density(rho_grid[i0]), refine=True)
-    if v_grid > val:
-        val, x = v_grid, rho_grid[i0]
+    x, val, record = _maximize(lambda r: inner_min(bloch_density(_clip_ball(r)))[0],
+                               [rho_grid[i0]], 0.2, 1e-6, max(60, opts.max_iters // 4))
     best_rho = bloch_density(_clip_ball(x))
-    _, eta_arg = inner_min(best_rho, refine=True)
+    _, eta_arg = inner_min(best_rho)
     return CapacityResult(
         value=max(0.0, float(val)),
         argmax_input=best_rho,
@@ -318,8 +302,7 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
         diagnostics={"raw_value": float(val),
                      "inner_grid": _JAMMER_ETA_GRID_N,
                      "outer_grid": _JAMMER_RHO_GRID_N,
-                     "outer_nfev": nfev,
-                     "coarse_outer_best": float(scores[i0])},
+                     "coarse_outer_best": float(scores[i0]), **record},
     )
 
 
@@ -509,16 +492,10 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
         return float(_helper_objective(gamma, min(max(z[0], 0.0), 1.0),
                                        min(max(z[1], 0.0), 1.0)))
 
-    best_v = float(vals[i])
-    best_z = np.array([lam_g[i], mu_g[i]])
-    for z0 in starts:
-        step = max(0.5 / (n - 1), 2e-5)
-        z, val, _ = _simplex_max(objective, z0, step, 1e-5, opts.max_iters)
-        if val > best_v:
-            best_v, best_z = val, np.clip(z, 0.0, 1.0)
-    raw = best_v
+    z, raw, record = _maximize(objective, starts, max(0.5 / (n - 1), 2e-5), 1e-5,
+                               opts.max_iters, best=(starts[0], float(vals[i])))
     value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0
-    lam, mu = float(best_z[0]), float(best_z[1])
+    lam, mu = np.clip(z, 0.0, 1.0).tolist()
     kappa = np.zeros(4, complex)
     kappa[0], kappa[3] = np.sqrt(lam), np.sqrt(1 - lam)
     return CapacityResult(
@@ -526,5 +503,5 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
         argmax_input=np.diag([mu, 1 - mu]).astype(complex),
         argmax_env=kappa,
         diagnostics={"raw_value": float(raw), "lam": lam, "mu": mu,
-                     "grid": n, "floor": HELPER_CAPACITY_FLOOR},
+                     "grid": n, "floor": HELPER_CAPACITY_FLOOR, **record},
     )

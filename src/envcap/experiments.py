@@ -46,6 +46,26 @@ B2_THETAS = (0.5, 2.0 ** -6, 2.0 ** -10)
 REGION_UNIVERSAL_GRID = 32
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_reals(x) -> bool:
+    return isinstance(x, (list, tuple)) and all(map(_is_real, x))
+
+
+#: What each config field may hold; None takes the command's default.
+_FIELD_CHECKS = {
+    "grid": ("an integer", lambda x: x is None or _is_real(x) and isinstance(x, int)),
+    "tol": ("a real number", lambda x: x is None or _is_real(x)),
+    "params": ("a list of real numbers", _is_reals),
+    "output_path": ("a path string", lambda x: x is None or isinstance(x, str)),
+    "format": ("csv or json", lambda x: x in ("csv", "json")),
+    "no_timestamp": ("true or false", lambda x: isinstance(x, bool)),
+    "bracket": ("two real numbers", lambda x: x is None or _is_reals(x) and len(x) == 2),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One run of a :data:`COMMANDS` entry; None fields take its defaults."""
@@ -63,8 +83,10 @@ class ExperimentConfig:
         entry = COMMANDS.get(self.experiment)
         if entry is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, not {self.format!r}")
+        for name, (what, ok) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
         self.grid = entry.grid if self.grid is None else self.grid
         self.tol = entry.tol if self.tol is None else self.tol
         self.bracket = self.bracket or entry.bracket
@@ -93,15 +115,10 @@ def _gate_from_params(params, default=(0.25, 0.25, 0.25)) -> BipartiteUnitary:
 
 # -- curve families ---------------------------------------------------------
 
-def a1_curve(gamma: float, t: float = 0.0) -> float:
-    """Coherent info of a swap-dcnot edge gate paired with a fractional swap."""
-    w = canonical_unitary((np.pi / 2, np.pi / 2, t * np.pi / 2))
-    return two_copy_coherent_info(standard_two_copy(w, swap_power(gamma)))
-
-
 _SQRT_SWAP_POINT = (np.pi / 4, np.pi / 4, np.pi / 4)
 
-#: (label, W-family) pairs paired with the square-root-of-swap partner.
+#: (label, canonical point as a function of t) of every gate family the
+#: curves use; a3 pairs each with the square-root-of-swap partner.
 A3_FAMILIES = (
     ("s", lambda t: (np.pi / 2, np.pi / 2, t * np.pi / 2)),
     ("p1", lambda t: (np.pi / 4 + t * np.pi / 4, np.pi / 4 + t * np.pi / 4,
@@ -116,34 +133,39 @@ A3_FAMILIES = (
 )
 
 
+def _family_gate(label: str, t: float) -> BipartiteUnitary:
+    return canonical_unitary(dict(A3_FAMILIES)[label](t))
+
+
+def a1_curve(gamma: float, t: float = 0.0) -> float:
+    """Coherent info of a swap-dcnot edge gate paired with a fractional swap."""
+    return two_copy_coherent_info(standard_two_copy(_family_gate("s", t), swap_power(gamma)))
+
+
 def a3_curve(label: str, t: float) -> float:
-    fam = dict(A3_FAMILIES)[label]
-    w = canonical_unitary(fam(t))
+    w = _family_gate(label, t)
     return two_copy_coherent_info(standard_two_copy(w, canonical_unitary(_SQRT_SWAP_POINT)))
 
 
 def a2_curve(t: float) -> float:
-    v = canonical_unitary((np.pi / 4 + t * np.pi / 4, np.pi / 4, np.pi / 4))
-    return two_copy_coherent_info(standard_two_copy(SWAP, v))
+    return two_copy_coherent_info(standard_two_copy(SWAP, _family_gate("r", t)))
 
 
 def b1_curve(t: float) -> float:
-    g = canonical_unitary((np.pi / 4 + t * np.pi / 4, np.pi / 4 + t * np.pi / 4,
-                           np.pi / 4 - t * np.pi / 4))
+    g = _family_gate("p1", t)
     return two_copy_coherent_info(standard_two_copy(g, g))
 
 
 def b2_curve(t: float, theta: float) -> float:
-    g = canonical_unitary((np.pi / 2, np.pi / 4 + t * np.pi / 4,
-                           np.pi / 4 - t * np.pi / 4))
+    g = _family_gate("q2", t)
     return two_copy_coherent_info(theta_two_copy(g, g, theta))
 
 
 def b2_best_over_theta(t: float, extra_grid: int = 33) -> tuple[float, float]:
     """Best b2 value over the default theta slices plus a log-spaced grid.
 
-    Returns (value, argmax theta); used to record the positivity window
-    in diagnostics rather than to assert any published endpoints.
+    Returns (value, argmax theta), locating the theta window where b2
+    stays positive; no experiment calls it.
     """
     thetas = list(B2_THETAS) + list(np.geomspace(2.0 ** -16, 0.5, extra_grid))
     vals = [b2_curve(t, th) for th in thetas]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from envcap.canonical import CNOT, SWAP, canonical_unitary, swap_power
+from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, swap_power
 from envcap.channels import (
     BipartiteUnitary,
     KrausChannel,
@@ -9,6 +9,7 @@ from envcap.channels import (
     effective_channel,
     entangled_env_channel,
 )
+from envcap import capacity
 from envcap.capacity import (
     BracketError,
     _jammer_kraus_batch,
@@ -153,6 +154,28 @@ class TestSeparableHelperCapacity:
         for _ in range(3):
             res = separable_helper_capacity(haar_unitary(4, rng), FAST_OPTS)
             assert res.value <= 1.0 + 1e-9
+
+    def test_grid_of_poles_rejected(self):
+        # grid 2 holds only |0> and |1>, which gives CNOT the value 0
+        with pytest.raises(ValueError, match="grid"):
+            separable_helper_capacity(CNOT, OptimizerOptions(grid=2))
+        res = separable_helper_capacity(CNOT, OptimizerOptions(grid=3))
+        assert res.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_local_unitary_and_canonical_invariance(self):
+        # the capacity depends only on the canonical point: local unitaries
+        # on A, E (before) and B, F (after) and complex conjugation keep it
+        rng = np.random.default_rng(80)  # three gates with positive capacity
+        opts = OptimizerOptions(grid=16)
+        for _ in range(3):
+            u = haar_unitary(4, rng)
+            c = canonical_unitary(decompose_params(u)).matrix
+            dressed = (tensor(haar_unitary(2, rng), haar_unitary(2, rng)) @ c
+                       @ tensor(haar_unitary(2, rng), haar_unitary(2, rng)))
+            vals = [separable_helper_capacity(g, opts).value
+                    for g in (u, c, dressed, dressed.conj())]
+            assert vals[0] > 0.1
+            assert np.ptp(vals) < 1e-7, vals
 
 
 class TestJammer:
@@ -380,6 +403,37 @@ def test_optimizer_options_validation():
     for bad in (dict(grid=0), dict(grid=1), dict(max_iters=0), dict(tol=float("nan"))):
         with pytest.raises(ValueError):
             OptimizerOptions(**bad)
+
+
+RESTART_RECORD = {"restart_values", "nfev", "converged", "restarts"}
+
+
+class TestRestartRecord:
+    def test_every_optimizer_reports_the_same_record(self, monkeypatch):
+        # coarse jammer grids: the record, not the value, is under test
+        monkeypatch.setattr(capacity, "_JAMMER_ETA_GRID_N", 5)
+        monkeypatch.setattr(capacity, "_JAMMER_RHO_GRID_N", 3)
+        opts = OptimizerOptions(restarts=2, grid=8, max_iters=1)
+        results = [max_coherent_info(identity_channel(), opts),
+                   separable_helper_capacity(CNOT, opts),
+                   separable_helper_capacity(SWAP, opts),  # no degradable cell
+                   swap_power_helper_capacity(0.6, opts),
+                   jammer_value(CNOT, opts)]
+        for res in results:
+            d = res.diagnostics
+            assert RESTART_RECORD <= set(d)
+            assert d["restarts"] == len(d["restart_values"])
+            assert 0 <= d["converged"] <= d["restarts"]
+            assert d["nfev"] >= d["restarts"]
+        assert results[2].diagnostics["restarts"] == 0
+
+    def test_unconverged_restarts_counted(self):
+        # one iteration per restart cannot meet the tolerance
+        d = max_coherent_info(identity_channel(), OptimizerOptions(max_iters=1)).diagnostics
+        assert d["restarts"] == 8
+        assert d["converged"] < d["restarts"]
+        d = max_coherent_info(identity_channel(), FAST_OPTS).diagnostics
+        assert d["converged"] == d["restarts"] == 4
 
 
 class TestHelperCapacity:

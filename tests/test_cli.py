@@ -72,6 +72,13 @@ class TestExitCodes:
         assert rc == EXIT_IO
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("command", ["qhtens", "eh_swap"])
+    def test_separable_helper_grid_of_poles_rejected(self, command, capsys):
+        # grid 2 is only |0> and |1>; the entangled helper alone accepts it
+        rc, out, err = run_cli([command, "--grid", "2"], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+        assert "grid" in err
+
 
 class TestCsvOutput:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -189,6 +196,19 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         rc, out, err = run_cli(["a1", "--grid", "3", "--config", str(cfg)], capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+        assert next(iter(doc)) in err
+
+    @pytest.mark.parametrize("command,doc", [
+        ("a1", {"grid": "5"}), ("a1", {"grid": 3.5}), ("a1", {"grid": True}),
+        ("locate a1", {"tol": "1e-3"}), ("a1", {"params": 5}),
+        ("a1", {"params": ["0.5"]}), ("locate a1", {"bracket": [0.5, "0.9"]}),
+        ("a1", {"no_timestamp": "no"}), ("a1", {"output_path": 1}),
+        ("a1", {"output_path": 7})])
+    def test_wrong_value_type(self, command, doc, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc, out, err = run_cli([*command.split(), "--config", str(cfg)], capsys)
         assert (rc, out) == (EXIT_BAD_CONFIG, "")
         assert next(iter(doc)) in err
 
