@@ -40,6 +40,7 @@ from .linalg import (
     check_density_matrix,
     check_state_vector,
     eigh2,
+    eigvals2,
     entropy,
     entropy_from_eigvals,
     maximally_entangled,
@@ -171,7 +172,7 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
     x, value, record = _maximize(objective, starts, 0.25, opts.tol, opts.max_iters,
                                  best=(starts[0], -np.inf))
     return CapacityResult(value=float(value), argmax_input=bloch_density(_clip_ball(x)),
-                          diagnostics=record)
+                          diagnostics={"raw_value": float(value), **record})
 
 
 # ---------------------------------------------------------------------------
@@ -251,58 +252,72 @@ _JAMMER_ETA_GRID_N = 17
 _JAMMER_RHO_GRID_N = 9
 
 
-def _jammer_kraus_batch(v: BipartiteUnitary, etas_bloch: np.ndarray) -> np.ndarray:
-    """Kraus stacks (..., 4, 2, 2) for mixed environment Bloch vectors.
+def _jammer_affine(v: BipartiteUnitary, rho: np.ndarray):
+    """Rows (D_0, ..., D_3) of the jammer output rho_RB(r) = D_0 + sum_i r_i D_i
+    on B (x) R, with R purifying ``rho`` by the amplitudes u sqrt(w) of its
+    spectrum, flattened to (4, 16); and those of rho_B = Tr_R rho_RB, (4, 4)."""
+    w, u = eigh2(rho)
+    x = np.einsum("bfae,ak->bfke", v.matrix.reshape(2, 2, 2, 2), u * np.sqrt(np.maximum(w, 0.0)))
+    etas = bloch_density(np.vstack([np.zeros(3), np.eye(3)]))
+    rb = np.einsum("bfke,ned,cfld->nbkcl", x, etas, x.conj())
+    rb[1:] -= rb[0]  # the map at I/2, then at sigma_i/2
+    return rb.reshape(4, 16), np.einsum("nbkck->nbc", rb).reshape(4, 4)
 
-    Each spectral component eta = sum_j p_j |e_j><e_j| contributes the
-    pure-state Kraus pair of |e_j>, scaled by sqrt(p_j).
-    """
-    p, vecs = eigh2(bloch_density(etas_bloch))
-    k = batch_effective_kraus(v, np.swapaxes(vecs, -1, -2))  # (..., j, f, b, a)
-    k = np.sqrt(np.maximum(p, 0.0))[..., None, None, None] * k
-    return k.reshape(k.shape[:-4] + (4, 2, 2))
+
+def _jammer_ic(coeffs, r):
+    """S(rho_B) - S(rho_RB) at environment Bloch vectors ``r`` (clipped to the
+    ball) over its leading axes; rho_RB has the canonical complement's spectrum."""
+    rb, b = coeffs
+    r = r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
+    rho_rb = (rb[0] + r @ rb[1:]).reshape(r.shape[:-1] + (4, 4))
+    rho_b = (b[0] + r @ b[1:]).reshape(r.shape[:-1] + (2, 2))
+    return entropy_from_eigvals(eigvals2(rho_b)) - entropy_from_eigvals(np.linalg.eigvalsh(rho_rb))
 
 
 def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Single-copy max-min coherent information against an adversarial
     environment.
 
-    The inner minimization runs over mixed environment states (a
-    Cartesian Bloch-ball grid plus simplex refinement); the outer
-    maximization over input states uses a coarser ball grid with simplex
-    refinement.  The value is a grid-and-refine estimate, not a
-    certified optimum; grids and the raw value (before the clamp at zero,
-    a rate that is always achievable) are recorded in the diagnostics.
+    For each input, the output of the channel and a purifying reference is
+    affine in the environment Bloch vector (:func:`_jammer_affine`).  The
+    inner minimization runs over mixed environment states (a Cartesian
+    Bloch-ball grid plus simplex refinement), the outer maximization over
+    inputs on a coarser ball grid with simplex refinement.  The value is a
+    grid-and-refine estimate, not a certified optimum; grids, the raw value
+    (before the clamp at zero, a rate that is always achievable) and the
+    inner objective calls (``inner_nfev``) are in the diagnostics.
     """
     opts = opts or OptimizerOptions()
     v = as_two_qubit(v)
     eta_grid = _ball_grid(_JAMMER_ETA_GRID_N)
-    kraus_grid = _jammer_kraus_batch(v, eta_grid)
+    argmins, inner_nfev = {}, []
 
-    def inner_min(rho):
-        vals = _coherent_info(kraus_grid, rho)
+    def inner_min(r):
+        coeffs = _jammer_affine(v, bloch_density(_clip_ball(r)))
+        vals = _jammer_ic(coeffs, eta_grid)
         i = int(np.argmin(vals))
-        x, negv, _ = _maximize(lambda e: -_coherent_info(_jammer_kraus_batch(v, e), rho),
-                               [eta_grid[i]], 0.15, 1e-7, opts.max_iters,
-                               best=(eta_grid[i], -float(vals[i])))
-        return -negv, _clip_ball(x)
+        x, negv, record = _maximize(lambda e: -_jammer_ic(coeffs, e),
+                                    [eta_grid[i]], 0.15, 1e-7, opts.max_iters,
+                                    best=(eta_grid[i], -float(vals[i])))
+        argmins[r.tobytes()] = _clip_ball(x)  # scipy returns a point it evaluated
+        inner_nfev.append(record["nfev"])
+        return -negv
 
     rho_grid = _ball_grid(_JAMMER_RHO_GRID_N)
-    scores = np.array([_coherent_info(kraus_grid, bloch_density(x)).min()
+    scores = np.array([_jammer_ic(_jammer_affine(v, bloch_density(x)), eta_grid).min()
                        for x in rho_grid])
     i0 = int(np.argmax(scores))
-    x, val, record = _maximize(lambda r: inner_min(bloch_density(_clip_ball(r)))[0],
-                               [rho_grid[i0]], 0.2, 1e-6, max(60, opts.max_iters // 4))
-    best_rho = bloch_density(_clip_ball(x))
-    _, eta_arg = inner_min(best_rho)
+    x, val, record = _maximize(inner_min, [rho_grid[i0]], 0.2, 1e-6,
+                               max(60, opts.max_iters // 4))
     return CapacityResult(
         value=max(0.0, float(val)),
-        argmax_input=best_rho,
-        argmax_env=bloch_density(eta_arg),
+        argmax_input=bloch_density(_clip_ball(x)),
+        argmax_env=bloch_density(argmins[x.tobytes()]),
         diagnostics={"raw_value": float(val),
                      "inner_grid": _JAMMER_ETA_GRID_N,
                      "outer_grid": _JAMMER_RHO_GRID_N,
-                     "coarse_outer_best": float(scores[i0]), **record},
+                     "coarse_outer_best": float(scores[i0]),
+                     "inner_nfev": sum(inner_nfev), **record},
     )
 
 

@@ -12,7 +12,8 @@ from envcap.channels import (
 from envcap import capacity
 from envcap.capacity import (
     BracketError,
-    _jammer_kraus_batch,
+    _jammer_affine,
+    _jammer_ic,
     OptimizerOptions,
     coherent_info,
     entangled_helper_coherent_info,
@@ -193,9 +194,9 @@ class TestJammer:
         assert res.value == 0.0
         assert -1e-12 < res.diagnostics["raw_value"] <= 0.0
 
-    def test_mixed_env_kraus_matches_effective_channel(self):
-        # the spectral Kraus stack must build the channel of eta itself,
-        # not of its y-mirror conj(eta)
+    def test_mixed_env_objective_matches_effective_channel(self):
+        # the affine objective must be the coherent information of the
+        # channel of eta itself, not of its y-mirror conj(eta)
         rng = np.random.default_rng(77)
         for _ in range(20):
             v = BipartiteUnitary(haar_unitary(4, rng))
@@ -203,12 +204,31 @@ class TestJammer:
             r[1] = np.sign(r[1]) * max(abs(r[1]), 0.2)
             r *= rng.uniform(0.3, 1.0) / np.linalg.norm(r)
             rho = random_density_matrix(2, rng)
-            want = apply_channel(effective_channel(v, bloch_density(r)), rho)
-            k = _jammer_kraus_batch(v, r)
-            got = np.einsum("kba,ac,kdc->bd", k, rho, k.conj())
-            assert np.abs(got - want).max() < 1e-12
-            stacked = _jammer_kraus_batch(v, np.stack([r, -r]))
-            assert np.abs(stacked[0] - k).max() < 1e-15
+            coeffs = _jammer_affine(v, rho)
+            want = coherent_info(effective_channel(v, bloch_density(r)), rho)
+            got = _jammer_ic(coeffs, r)
+            assert abs(got - want) < 1e-12
+            stacked = _jammer_ic(coeffs, np.stack([r, -r]))
+            assert abs(stacked[0] - got) < 1e-14
+            # outside the ball: clipped onto the surface, as bloch_density does
+            unit = r / np.linalg.norm(r)
+            assert abs(_jammer_ic(coeffs, 2 * unit) - _jammer_ic(coeffs, unit)) < 1e-14
+            # a pure input keeps its reference out of the output: zero
+            pure = _jammer_affine(v, random_density_matrix(2, rng, rank=1))
+            assert abs(_jammer_ic(pure, r)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["product", "haar"])
+    def test_argmax_consistent_with_value(self, case, monkeypatch):
+        monkeypatch.setattr(capacity, "_JAMMER_ETA_GRID_N", 7)
+        monkeypatch.setattr(capacity, "_JAMMER_RHO_GRID_N", 5)
+        rng = np.random.default_rng(78)
+        if case == "product":
+            v = tensor(haar_unitary(2, rng), haar_unitary(2, rng))
+        else:
+            v = haar_unitary(4, rng)
+        res = jammer_value(v, FAST_OPTS)
+        ic = coherent_info(effective_channel(v, res.argmax_env), res.argmax_input)
+        assert abs(ic - res.diagnostics["raw_value"]) < 1e-9
 
     def test_cnot_matches_dense_grid_oracle(self):
         # frozen from an independent dense double-grid scan (mixed input
@@ -426,6 +446,27 @@ class TestRestartRecord:
             assert 0 <= d["converged"] <= d["restarts"]
             assert d["nfev"] >= d["restarts"]
         assert results[2].diagnostics["restarts"] == 0
+
+    def test_jammer_counts_its_inner_searches(self, monkeypatch):
+        # one outer run whose every objective call is one inner run, and
+        # no inner search repeated after the outer one
+        monkeypatch.setattr(capacity, "_JAMMER_ETA_GRID_N", 5)
+        monkeypatch.setattr(capacity, "_JAMMER_RHO_GRID_N", 3)
+        runs, minimize = [], capacity.minimize
+
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            runs.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(capacity, "minimize", counted)
+        d = jammer_value(CNOT, OptimizerOptions(max_iters=40)).diagnostics
+        assert len(runs) == 1 + d["nfev"]
+        assert sum(runs) == d["nfev"] + d["inner_nfev"]
+
+    def test_max_coherent_info_raw_value(self):
+        res = max_coherent_info(identity_channel(), FAST_OPTS)
+        assert res.diagnostics["raw_value"] == res.value
 
     def test_unconverged_restarts_counted(self):
         # one iteration per restart cannot meet the tolerance
