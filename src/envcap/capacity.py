@@ -8,7 +8,9 @@ this module provides:
 * the maximum over inputs for a fixed channel (Bloch-ball simplex search),
 * the maximum over environment states and inputs for a two-qubit gate
   (the separable-helper capacity),
-* the max-min value against an adversarial environment (single copy),
+* the max-min value against an adversarial environment (single copy), in
+  closed form at the maximally mixed input and environment, bracketed
+  above by the input maximum of that one channel,
 * coherent information of two gates run in parallel on an entangled
   environment (five-qubit pure-state computation), and
 * the entangled-helper quantities for the fractional-swap family,
@@ -26,6 +28,7 @@ from .channels import (
     BipartiteUnitary,
     KrausChannel,
     as_two_qubit,
+    effective_channel,
     entangled_env_channel,
 )
 from .degradability import (
@@ -240,18 +243,6 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
 # adversarial (jammer) value, single copy
 # ---------------------------------------------------------------------------
 
-def _ball_grid(n: int) -> np.ndarray:
-    xs = np.linspace(-1.0, 1.0, n)
-    x, y, z = np.meshgrid(xs, xs, xs, indexing="ij")
-    pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    return pts[np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12]
-
-# Adversarial environment states run over the full Bloch ball (mixed
-# states allowed); this Cartesian resolution is the documented default.
-_JAMMER_ETA_GRID_N = 17
-_JAMMER_RHO_GRID_N = 9
-
-
 def _jammer_affine(v: BipartiteUnitary, rho: np.ndarray):
     """Rows (D_0, ..., D_3) of the jammer output rho_RB(r) = D_0 + sum_i r_i D_i
     on B (x) R, with R purifying ``rho`` by the amplitudes u sqrt(w) of its
@@ -276,48 +267,34 @@ def _jammer_ic(coeffs, r):
 
 def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Single-copy max-min coherent information against an adversarial
-    environment.
+    environment, in closed form.
 
-    For each input, the output of the channel and a purifying reference is
-    affine in the environment Bloch vector (:func:`_jammer_affine`).  The
-    inner minimization runs over mixed environment states (a Cartesian
-    Bloch-ball grid plus simplex refinement), the outer maximization over
-    inputs on a coarser ball grid with simplex refinement.  The value is a
-    grid-and-refine estimate, not a certified optimum; grids, the raw value
-    (before the clamp at zero, a rate that is always achievable) and the
-    inner objective calls (``inner_nfev``) are in the diagnostics.
+    A canonical gate commutes with X(x)X, Y(x)Y and Z(x)Z, so at the input
+    I/2 the map eta -> I_c(I/2, N_eta) is invariant under the Pauli group;
+    it is convex, since rho_RB is affine in eta (:func:`_jammer_affine`) and
+    -S(R|B) is convex.  Its minimum is therefore at eta = I/2, which local
+    dressing leaves fixed, and every gate has
+
+        max(0, L) <= J <= U,   L = I_c(I/2, N_{I/2}),   U = Q1(N_{I/2}),
+
+    with J >= 0 because a pure input gives zero.  The value is max(0, L),
+    exact from one 4x4 spectrum; U is the :func:`max_coherent_info`
+    estimate, reported with its restart record and ``bracket = (value, U)``
+    in the diagnostics.  The argmax is (I/2, I/2) when L > 0, and
+    (|0><0|, I/2), which reaches zero, otherwise.
     """
     opts = opts or OptimizerOptions()
     v = as_two_qubit(v)
-    eta_grid = _ball_grid(_JAMMER_ETA_GRID_N)
-    argmins, inner_nfev = {}, []
-
-    def inner_min(r):
-        coeffs = _jammer_affine(v, bloch_density(_clip_ball(r)))
-        vals = _jammer_ic(coeffs, eta_grid)
-        i = int(np.argmin(vals))
-        x, negv, record = _maximize(lambda e: -_jammer_ic(coeffs, e),
-                                    [eta_grid[i]], 0.15, 1e-7, opts.max_iters,
-                                    best=(eta_grid[i], -float(vals[i])))
-        argmins[r.tobytes()] = _clip_ball(x)  # scipy returns a point it evaluated
-        inner_nfev.append(record["nfev"])
-        return -negv
-
-    rho_grid = _ball_grid(_JAMMER_RHO_GRID_N)
-    scores = np.array([_jammer_ic(_jammer_affine(v, bloch_density(x)), eta_grid).min()
-                       for x in rho_grid])
-    i0 = int(np.argmax(scores))
-    x, val, record = _maximize(inner_min, [rho_grid[i0]], 0.2, 1e-6,
-                               max(60, opts.max_iters // 4))
+    mixed = bloch_density(np.zeros(3))
+    low = float(_jammer_ic(_jammer_affine(v, mixed), np.zeros(3)))
+    value = max(0.0, low)
+    upper = max_coherent_info(effective_channel(v, mixed), opts)
     return CapacityResult(
-        value=max(0.0, float(val)),
-        argmax_input=bloch_density(_clip_ball(x)),
-        argmax_env=bloch_density(argmins[x.tobytes()]),
-        diagnostics={"raw_value": float(val),
-                     "inner_grid": _JAMMER_ETA_GRID_N,
-                     "outer_grid": _JAMMER_RHO_GRID_N,
-                     "coarse_outer_best": float(scores[i0]),
-                     "inner_nfev": sum(inner_nfev), **record},
+        value=value,
+        argmax_input=mixed if low > 0 else projector(np.array([1, 0], complex)),
+        argmax_env=mixed,
+        diagnostics={**upper.diagnostics, "raw_value": value,
+                     "bracket": (value, upper.value)},
     )
 
 

@@ -6,8 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from envcap import experiments
-from envcap.capacity import CapacityResult
 from envcap.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from envcap.experiments import (
     COMMANDS,
@@ -264,12 +262,6 @@ QUICK = {
 }
 
 
-def _fake_jammer(gate, opts):
-    # stands in for the jammer search (seconds per gate); its value
-    # depends on the gate, so it shows whether --params reached it
-    return CapacityResult(float(np.trace(gate.matrix).real))
-
-
 class TestCommandTable:
     def test_settings_cover_every_config_field(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
@@ -295,7 +287,6 @@ class TestCommandTable:
     def test_read_fields_accepted_and_change_result(self, name, tmp_path, monkeypatch,
                                                     capsys):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(experiments, "jammer_value", _fake_jammer)
         reads = COMMANDS[name].reads
         base, variants = QUICK[name]
         assert set(variants) == reads - OUTPUT_FIELDS
