@@ -7,7 +7,9 @@ this module provides:
 
 * the maximum over inputs for a fixed channel (Bloch-ball simplex search),
 * the maximum over environment states and inputs for a two-qubit gate
-  (the separable-helper capacity),
+  (the separable-helper capacity): a bracketed 1-d search for gates that
+  commute with every u (x) u, such as the swap powers, and a grid-seeded
+  simplex search for the rest,
 * the max-min value against an adversarial environment (single copy), in
   closed form at the maximally mixed input and environment, bracketed
   above by the input maximum of that one channel,
@@ -147,8 +149,14 @@ def _maximize(f, starts, step, tol, maxiter, best=(None, -np.inf)):
         converged += bool(res.success)
         if -res.fun > best_v:
             best_x, best_v = res.x, -res.fun
-    return best_x, best_v, {"restart_values": values, "nfev": nfev,
-                            "converged": converged, "restarts": len(values)}
+    return best_x, best_v, _record(values, nfev, converged)
+
+
+def _record(values, nfev, converged):
+    """The restart record every optimizer reports in its diagnostics: each
+    run's value, the objective calls, and how many of the runs converged."""
+    return {"restart_values": values, "nfev": nfev, "converged": converged,
+            "restarts": len(values)}
 
 
 def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -187,22 +195,126 @@ _RHO_CANDIDATES = np.vstack([np.zeros(3)] + [r * np.vstack([np.eye(3), -np.eye(3
                                              for r in (0.5, 0.97)])
 
 
+#: The collective generators sigma_i (x) I + I (x) sigma_i, i = x, y, z.
+_COLLECTIVE = [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s)
+               for s in 2 * bloch_density(np.eye(3)) - np.eye(2)]
+
+_KET0 = np.array([1, 0], dtype=complex)
+
+#: 1/phi, the golden-section ratio.
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _swap_symmetric(v: BipartiteUnitary) -> bool:
+    """Whether ``v`` commutes with every u (x) u: with the three collective
+    generators to 1e-12.  Swap powers and the gates (a, a, a) do."""
+    m = v.matrix
+    return all(np.abs(m @ g - g @ m).max() <= 1e-12 for g in _COLLECTIVE)
+
+
+def _golden_max(f, tol: float, max_iters: int):
+    """Golden-section search for the maximum of a concave ``f`` on [0, 1],
+    until the bracket is ``tol`` wide or after ``max_iters`` steps.
+
+    Returns the final points a < c < d < b, their values and the steps.
+    """
+    a, c, d, b = 0.0, 1.0 - _INV_PHI, _INV_PHI, 1.0
+    fa, fc, fd, fb = map(f, (a, c, d, b))
+    steps = 0
+    while b - a > tol and steps < max_iters:
+        if fc >= fd:  # the maximum lies in [a, d]
+            b, fb, d, fd = d, fd, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:  # in [c, b]
+            a, fa, c, fc = c, fc, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+        steps += 1
+    return np.array([a, c, d, b]), np.array([fa, fc, fd, fb]), steps
+
+
+def _concave_upper(x: np.ndarray, y: np.ndarray) -> float:
+    """Upper bound on [0, 1] of a concave function with values ``y`` at the
+    increasing points ``x``.
+
+    Outside each gap between neighbouring points the gap's secant bounds
+    the function from above, so it lies under the least of the secants
+    whose closed gaps do not hold the point.  That envelope peaks at a
+    point, at 0 or 1, or where two secants cross: in the middle gap, where
+    the outer chords do.
+    """
+    slope = np.diff(y) / np.diff(x)
+    i, j = np.triu_indices(slope.size, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (y[j] - y[i] + slope[i] * x[i] - slope[j] * x[j]) / (slope[i] - slope[j])
+    t = np.concatenate([[0.0, 1.0], x, cross[(cross >= 0.0) & (cross <= 1.0)]])[:, None]
+    lines = y[:-1] + slope * (t - x[:-1])
+    inside = (x[:-1] <= t) & (t <= x[1:])
+    return float(np.where(inside, np.inf, lines).min(axis=1).max())
+
+
+def _symmetric_helper_capacity(v: BipartiteUnitary, opts: OptimizerOptions) -> CapacityResult:
+    """Separable-helper capacity of a gate that commutes with every u (x) u,
+    certified by a bracket.
+
+    Every pure environment u|0> gives the channel rho -> u N(u^dag rho u) u^dag
+    of N = N_{|0>}, so |0> is the only environment to evaluate.  N is
+    z-covariant, and where it is degradable I_c is concave in the input,
+    so the dephased input diag(q, 1 - q) does at least as well as rho: the
+    capacity is the maximum over q of a concave function, found by golden
+    section and bounded above by :func:`_concave_upper`.  Anti-degradable
+    and symmetric N give exactly zero.
+    """
+    degradable = bool(batch_degradability_index(v, _KET0[None])[0] > SYMMETRIC_TOL)
+    diag = {"n_degradable": int(degradable), "n_grid": 1}
+    if not degradable:
+        return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, "bracket": (0.0, 0.0),
+                                                **_record([], 0, 0)})
+    kraus = batch_effective_kraus(v, _KET0)
+
+    def diagonal(q):
+        return bloch_density(np.array([0.0, 0.0, 2 * q - 1]))
+
+    x, y, steps = _golden_max(lambda q: float(_coherent_info(kraus, diagonal(q))),
+                              opts.tol, opts.max_iters)
+    best = int(np.argmax(y))
+    raw = float(y[best])
+    value = max(0.0, raw)
+    return CapacityResult(
+        value,
+        argmax_input=diagonal(x[best]),
+        argmax_env=_KET0,
+        diagnostics={**diag, "raw_value": raw,
+                     "bracket": (value, max(value, _concave_upper(x, y))),
+                     **_record([raw], 4 + steps, int(x[3] - x[0] <= opts.tol))},
+    )
+
+
 def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Capacity of a two-qubit gate with a product-state helper.
 
-    Scans a (theta, phi) grid of pure environment states; points whose
+    A gate that commutes with every u (x) u, as the swap powers and the
+    gates (a, a, a) do, reduces to a concave 1-d problem, solved by
+    :func:`_symmetric_helper_capacity` with a certified ``bracket`` in the
+    diagnostics; its argmax is in the caller's frame.  Every other gate,
+    locally dressed copies of those included, takes the search.
+
+    The search scans a (theta, phi) grid of pure environment states; points whose
     induced channel is anti-degradable or symmetric contribute zero and
     are skipped.  The remaining cells are scored against a coarse set of
     input states, and the best cells seed a joint simplex refinement
     over (theta, phi, Bloch vector).  The result is clamped at zero (the
     zero rate is always achievable); the raw optimum stays available in
-    the diagnostics.
+    the diagnostics.  ``opts.grid`` below 3 is rejected on both paths.
     """
     opts = opts or OptimizerOptions()
     if opts.grid < 3:
         raise ValueError("the separable helper needs grid >= 3: "
                          "grid 2 holds only the poles |0> and |1>")
     v = as_two_qubit(v)
+    if _swap_symmetric(v):
+        return _symmetric_helper_capacity(v, opts)
     etas, thetas, phis = bloch_sphere_grid(opts.grid, opts.grid)
     idx = batch_degradability_index(v, etas)
     mask = idx > SYMMETRIC_TOL
@@ -215,8 +327,7 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
 
     maxiter = 4 * opts.max_iters
     if not mask.any():  # nothing to refine: a record of zero restarts
-        record = _maximize(objective, [], 0.2, opts.tol, maxiter)[2]
-        return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, **record})
+        return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, **_record([], 0, 0)})
 
     kraus = batch_effective_kraus(v, etas[mask])
     rhos = bloch_density(_RHO_CANDIDATES)

@@ -161,18 +161,6 @@ def b2_curve(t: float, theta: float) -> float:
     return two_copy_coherent_info(theta_two_copy(g, g, theta))
 
 
-def b2_best_over_theta(t: float, extra_grid: int = 33) -> tuple[float, float]:
-    """Best b2 value over the default theta slices plus a log-spaced grid.
-
-    Returns (value, argmax theta), locating the theta window where b2
-    stays positive; no experiment calls it.
-    """
-    thetas = list(B2_THETAS) + list(np.geomspace(2.0 ** -16, 0.5, extra_grid))
-    vals = [b2_curve(t, th) for th in thetas]
-    i = int(np.argmax(vals))
-    return vals[i], thetas[i]
-
-
 # -- command table ---------------------------------------------------------
 
 def _a1_rows(cfg, opts):

@@ -10,6 +10,7 @@ import numpy as np
 
 from envcap.capacity import _clip_ball, _jammer_affine, _jammer_ic, _maximize
 from envcap.channels import as_two_qubit
+from envcap.experiments import B2_THETAS, b2_curve
 from envcap.linalg import bloch_density
 
 
@@ -50,3 +51,15 @@ def jammer_search(v, eta_grid_n: int = 17, rho_grid_n: int = 9, max_iters: int =
     i0 = int(np.argmax(scores))
     x, val, _ = _maximize(inner_min, [rho_grid[i0]], 0.2, 1e-6, max(60, max_iters // 4))
     return float(val), _clip_ball(x), argmins[x.tobytes()]
+
+
+def b2_best_over_theta(t: float, extra_grid: int = 33) -> tuple[float, float]:
+    """Best b2 value over the default theta slices plus a log-spaced grid.
+
+    Returns (value, argmax theta), locating the theta window where b2
+    stays positive.
+    """
+    thetas = list(B2_THETAS) + list(np.geomspace(2.0 ** -16, 0.5, extra_grid))
+    vals = [b2_curve(t, th) for th in thetas]
+    i = int(np.argmax(vals))
+    return vals[i], thetas[i]

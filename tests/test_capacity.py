@@ -187,6 +187,82 @@ class TestSeparableHelperCapacity:
             assert np.ptp(vals) < 1e-7, vals
 
 
+class TestSeparableHelperSymmetry:
+    """Gates that commute with every u (x) u take a 1-d certified branch,
+    which rests on three facts: every pure environment gives a channel
+    unitarily equivalent to that of |0>, that channel is z-covariant, and
+    on degradable channels I_c is concave, so diagonal inputs suffice."""
+
+    #: Values of the swap powers, frozen from the grid-and-simplex search.
+    FROZEN = ((8 / 63, 0.8607382628039882), (16 / 63, 0.6015333406333623),
+              (24 / 63, 0.2984930490900881), (31 / 63, 0.02003278056585578))
+
+    def test_collective_commutator(self):
+        rng = np.random.default_rng(90)
+        for g in (0.0, 0.3, 0.5, 1.0):
+            assert capacity._swap_symmetric(swap_power(g))
+        for a in (0.1, 0.7, PI / 4):
+            assert capacity._swap_symmetric(canonical_unitary((a, a, a)))
+        assert not capacity._swap_symmetric(BipartiteUnitary(CNOT))
+        assert not capacity._swap_symmetric(BipartiteUnitary(haar_unitary(4, rng)))
+
+    def test_environments_unitarily_equivalent(self):
+        rng = np.random.default_rng(91)
+        for g in (0.2, 0.4, 0.7):
+            v = swap_power(g)
+            n0 = effective_channel(v, KET0)
+            for _ in range(10):
+                u = haar_unitary(2, rng)
+                rho = random_density_matrix(2, rng)
+                want = coherent_info(n0, rho)
+                got = coherent_info(effective_channel(v, u @ KET0), u @ rho @ u.conj().T)
+                assert abs(got - want) < 1e-12
+
+    def test_diagonal_inputs_suffice(self):
+        rng = np.random.default_rng(92)
+        for g in (8 / 63, 0.3, 31 / 63):
+            value = separable_helper_capacity(swap_power(g)).value
+            n0 = effective_channel(swap_power(g), KET0)
+            for _ in range(200):
+                assert coherent_info(n0, random_density_matrix(2, rng)) <= value + 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 8 / 63, 16 / 63, 24 / 63, 0.6, 1.0])
+    def test_dressed_gate_takes_the_search(self, gamma):
+        rng = np.random.default_rng(93)
+        dressed = (tensor(haar_unitary(2, rng), haar_unitary(2, rng)) @ swap_power(gamma).matrix
+                   @ tensor(haar_unitary(2, rng), haar_unitary(2, rng)))
+        assert not capacity._swap_symmetric(BipartiteUnitary(dressed))
+        searched = separable_helper_capacity(dressed)
+        branch = separable_helper_capacity(swap_power(gamma))
+        assert "bracket" not in searched.diagnostics
+        assert "bracket" in branch.diagnostics
+        assert abs(searched.value - branch.value) < 1e-7
+
+    def test_frozen_values(self):
+        for g, want in self.FROZEN:
+            res = separable_helper_capacity(swap_power(g))
+            assert res.value == pytest.approx(want, abs=1e-9)
+            lo, hi = res.diagnostics["bracket"]
+            assert lo == res.value <= hi <= lo + 1e-9
+        assert separable_helper_capacity(swap_power(32 / 63)).value == 0.0
+
+    def test_bracket_holds_before_convergence(self):
+        # the certificate bounds the maximum after any number of steps
+        for g in (0.0, 8 / 63, 0.3, 31 / 63):
+            want = separable_helper_capacity(swap_power(g)).value
+            for steps in range(1, 25):
+                res = separable_helper_capacity(swap_power(g), OptimizerOptions(max_iters=steps))
+                lo, hi = res.diagnostics["bracket"]
+                assert lo - 1e-15 <= want <= hi + 1e-15
+                assert res.diagnostics["converged"] == 0
+
+    def test_argmax_in_the_callers_frame(self):
+        res = separable_helper_capacity(swap_power(0.3))
+        assert np.allclose(res.argmax_env, KET0)
+        ch = effective_channel(swap_power(0.3), res.argmax_env)
+        assert coherent_info(ch, res.argmax_input) == pytest.approx(res.value, abs=1e-15)
+
+
 class TestJammer:
     def test_product_gate(self):
         rng = np.random.default_rng(76)
@@ -517,7 +593,10 @@ class TestRestartRecord:
         opts = OptimizerOptions(restarts=2, grid=8, max_iters=1)
         results = [max_coherent_info(identity_channel(), opts),
                    separable_helper_capacity(CNOT, opts),
-                   separable_helper_capacity(SWAP, opts),  # no degradable cell
+                   separable_helper_capacity(SWAP, opts),  # anti-degradable 1-d branch
+                   separable_helper_capacity(swap_power(0.3), opts),  # 1-d branch
+                   # a dressed SWAP takes the search and has no degradable cell
+                   separable_helper_capacity(np.kron(np.diag([1, 1j]), np.eye(2)) @ SWAP, opts),
                    swap_power_helper_capacity(0.6, opts),
                    jammer_value(CNOT, opts)]
         for res in results:
@@ -526,7 +605,10 @@ class TestRestartRecord:
             assert d["restarts"] == len(d["restart_values"])
             assert 0 <= d["converged"] <= d["restarts"]
             assert d["nfev"] >= d["restarts"]
-        assert results[2].diagnostics["restarts"] == 0
+        assert results[2].diagnostics["restarts"] == results[4].diagnostics["restarts"] == 0
+        assert "bracket" not in results[4].diagnostics
+        lo, hi = separable_helper_capacity(swap_power(0.3)).diagnostics["bracket"]
+        assert hi - lo <= 1e-9
 
     def test_jammer_counts_its_runs(self, monkeypatch):
         # the record is that of the upper bound's input search, which makes

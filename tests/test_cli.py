@@ -15,6 +15,7 @@ from envcap.experiments import (
     b2_curve,
     run_experiment,
 )
+from oracles import b2_best_over_theta
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -338,7 +339,6 @@ class TestExperimentTables:
     def test_b2_theta_optimization_window(self):
         # the optimized theta family stays positive well inside (0, 1);
         # the achievable value shrinks toward the endpoints
-        from envcap.experiments import b2_best_over_theta
         mid, _ = b2_best_over_theta(0.5)
         low, _ = b2_best_over_theta(0.05)
         assert mid > 1e-3
