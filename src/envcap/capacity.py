@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     BipartiteUnitary,
@@ -65,6 +64,10 @@ _CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 #: Seed of the random restart points drawn by :func:`max_coherent_info`.
 _RESTART_SEED = 1234
+
+#: Nelder-Mead reflection, expansion, outside and inside contraction as
+#: a * centroid - c * worst vertex, in scipy's arithmetic: rows (a, c).
+_NM_TRIAL = np.array([[2.0, 3.0, 1.5, 0.5], [1.0, 2.0, 0.5, -0.5]])[..., None]
 
 
 @dataclass(frozen=True)
@@ -125,31 +128,86 @@ def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
 # input-state maximization
 # ---------------------------------------------------------------------------
 
-def _clip_ball(x: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(x)
-    return x / r if r > 1.0 else x
+@dataclass
+class Simplex:
+    """Per restart: best vertex, value, calls, stopped by the tolerance test;
+    then the calls and convergence of the whole batch."""
+    x: np.ndarray
+    fun: np.ndarray
+    calls: np.ndarray
+    converged: np.ndarray
+    nfev: int
+    success: bool
+
+
+def minimize(f, starts, step, tol, maxiter) -> Simplex:
+    """Nelder-Mead minimizations of ``f``, which maps points (B, d) to values
+    (B,), one from each row of ``starts``, advanced in lockstep.
+
+    Each simplex is its row and the row plus ``step`` along every axis; it
+    takes scipy's steps (rho = 1, chi = 2, psi = sigma = 1/2) and stops when
+    its vertices lie within ``tol`` of the best and their values within
+    ``tol / 100``, or after ``maxiter`` iterations or ``2 * maxiter`` calls.
+    An iteration evaluates the four trial points of every live simplex in
+    one call and shrinks in a second, but counts only the points a lone run
+    evaluates, so a restart does not depend on its batch.  Unlike scipy,
+    the first simplex is evaluated whole even past ``2 * maxiter`` calls.
+    """
+    x0 = np.asarray(starts, dtype=float)
+    b, d = x0.shape
+    s = np.concatenate([x0[:, None], x0[:, None] + step * np.eye(d)], axis=1)
+    fs = f(s.reshape(-1, d)).reshape(b, d + 1)
+    x, fun, n, ok = np.empty((b, d)), np.empty(b), np.full(b, d + 1), np.zeros(b, dtype=bool)
+    idx, calls, iters = np.arange(b), n.copy(), 1
+    while True:  # s, fs, calls: the live simplices, of restarts idx
+        order = np.argsort(fs, axis=1, kind="stable")
+        lane = np.arange(idx.size)[:, None]
+        s, fs = s[lane, order], fs[lane, order]
+        more = (calls < 2 * maxiter) & (iters < maxiter)
+        conv = more & (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= tol) \
+            & (np.abs(fs[:, 1:] - fs[:, :1]).max(axis=1) <= tol * 1e-2)
+        stop = conv | ~more
+        if stop.any():
+            j = idx[stop]
+            x[j], fun[j], n[j], ok[j] = s[stop, 0], fs[stop, 0], calls[stop], conv[stop]
+            idx, s, fs, calls = idx[~stop], s[~stop], fs[~stop], calls[~stop]
+        if idx.size == 0:
+            return Simplex(x, fun, n, ok, int(n.sum()), bool(ok.all()))
+        xbar, worst = s[:, :-1].sum(axis=1) / d, s[:, -1]
+        trial = _NM_TRIAL[0] * xbar[:, None] - _NM_TRIAL[1] * worst[:, None]
+        ft = f(trial.reshape(-1, d)).reshape(-1, 4)
+        fr, fe, fc, fcc = ft.T
+        expand = fr < fs[:, 0]
+        mid = ~expand & (fr < fs[:, -2])
+        contract = ~expand & ~mid
+        # the trial point that replaces the worst vertex, or -1 to shrink
+        pick = np.where(contract & (fr < fs[:, -1]), np.where(fc <= fr, 2, -1),
+                        np.where(contract, np.where(fcc < fs[:, -1], 3, -1), expand & (fe < fr)))
+        budget = 2 * maxiter - calls
+        cut = ~mid & (budget < 2)  # no call left for the second point: no step
+        r = np.flatnonzero((pick >= 0) & ~cut)
+        s[r, -1], fs[r, -1] = trial[r, pick[r]], ft[r, pick[r]]
+        shrunk = np.where((pick < 0) & ~cut, np.minimum(d, budget - 2), 0)
+        if shrunk.any():  # towards the best vertex, as far as the calls left go
+            todo = np.arange(1, d + 1) <= shrunk[:, None]
+            pts = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
+            s[:, 1:][todo], fs[:, 1:][todo] = pts[todo], f(pts[todo])
+        calls += np.where(cut, 1, 1 + ~mid + shrunk)
+        iters += 1
 
 
 def _maximize(f, starts, step, tol, maxiter, best=(None, -np.inf)):
-    """Best of Nelder-Mead maximizations of ``f``, one from each start.
+    """Best of the :func:`minimize` runs of ``-f``, one from each start.
 
     A run replaces ``best``, an (x, value) pair, only with a strictly larger
     value.  Returns (x, value, record): each run's value, the objective
     calls, and how many of the runs converged.
     """
-    best_x, best_v = best
-    values, nfev, converged = [], 0, 0
-    for x0 in starts:
-        sim = np.vstack([x0] + [x0 + step * e for e in np.eye(x0.size)])
-        res = minimize(lambda x: -f(x), x0, method="Nelder-Mead",
-                       options=dict(initial_simplex=sim, xatol=tol, fatol=tol * 1e-2,
-                                    maxiter=maxiter, maxfev=2 * maxiter))
-        values.append(-res.fun)
-        nfev += res.nfev
-        converged += bool(res.success)
-        if -res.fun > best_v:
-            best_x, best_v = res.x, -res.fun
-    return best_x, best_v, _record(values, nfev, converged)
+    res = minimize(lambda x: -f(x), starts, step, tol, maxiter)
+    values, i = (-res.fun).tolist(), int(np.argmin(res.fun))  # the first best run
+    if values[i] > best[1]:
+        best = res.x[i], values[i]
+    return *best, _record(values, res.nfev, int(res.converged.sum()))
 
 
 def _record(values, nfev, converged):
@@ -177,12 +235,9 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
         if np.linalg.norm(x) <= 1.0:
             starts.append(x)
 
-    def objective(x):
-        return _coherent_info(kraus, bloch_density(_clip_ball(x)))
-
-    x, value, record = _maximize(objective, starts, 0.25, opts.tol, opts.max_iters,
-                                 best=(starts[0], -np.inf))
-    return CapacityResult(value=float(value), argmax_input=bloch_density(_clip_ball(x)),
+    x, value, record = _maximize(lambda x: _coherent_info(kraus, bloch_density(x)), starts,
+                                 0.25, opts.tol, opts.max_iters, best=(starts[0], -np.inf))
+    return CapacityResult(value=float(value), argmax_input=bloch_density(x),
                           diagnostics={"raw_value": float(value), **record})
 
 
@@ -320,34 +375,24 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
     mask = idx > SYMMETRIC_TOL
     diag = {"grid": opts.grid, "n_degradable": int(mask.sum()),
             "n_grid": int(mask.size)}
-
-    def objective(z):
-        k = batch_effective_kraus(v, bloch_state(z[0], z[1]))
-        return _coherent_info(k, bloch_density(_clip_ball(z[2:])))
-
-    maxiter = 4 * opts.max_iters
     if not mask.any():  # nothing to refine: a record of zero restarts
         return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, **_record([], 0, 0)})
 
     kraus = batch_effective_kraus(v, etas[mask])
-    rhos = bloch_density(_RHO_CANDIDATES)
-    scores = _coherent_info(kraus[:, None], rhos)
+    scores = _coherent_info(kraus[:, None], bloch_density(_RHO_CANDIDATES))
     cell_best = scores.max(axis=1)
     order = np.argsort(cell_best)[::-1][: opts.restarts]
     midx = np.nonzero(mask)[0]
     starts = [np.concatenate([[thetas[midx[o]], phis[midx[o]]],
                               _RHO_CANDIDATES[int(np.argmax(scores[o]))]]) for o in order]
-    z, raw, record = _maximize(objective, starts, 0.2, opts.tol, maxiter,
-                               best=(None, float(cell_best[order[0]])))
-    result = CapacityResult(max(0.0, raw), diagnostics={**diag, "raw_value": raw, **record})
-    if z is not None:
-        result.argmax_env = bloch_state(z[0], z[1])
-        result.argmax_input = bloch_density(_clip_ball(z[2:]))
-    else:
-        gi = midx[order[0]]
-        result.argmax_env = etas[gi]
-        result.argmax_input = rhos[int(np.argmax(scores[order[0]]))]
-    return result
+    # when no run beats the best cell, its start point is the argmax
+    z, raw, record = _maximize(
+        lambda z: _coherent_info(batch_effective_kraus(v, bloch_state(z[:, 0], z[:, 1])),
+                                 bloch_density(z[:, 2:])),
+        starts, 0.2, opts.tol, 4 * opts.max_iters, best=(starts[0], float(cell_best[order[0]])))
+    return CapacityResult(max(0.0, raw), argmax_input=bloch_density(z[2:]),
+                          argmax_env=bloch_state(z[0], z[1]),
+                          diagnostics={**diag, "raw_value": raw, **record})
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +631,10 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
     lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
     vals = _helper_objective(gamma, lam_g, mu_g)
     i = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    starts = [np.array([lam_g[i], mu_g[i]])]
-    for m0 in _CORNER_SEEDS:
-        starts.append(np.array([0.5, m0]))
-        starts.append(np.array([0.5, 1.0 - m0]))
-
-    def objective(z):
-        return float(_helper_objective(gamma, min(max(z[0], 0.0), 1.0),
-                                       min(max(z[1], 0.0), 1.0)))
-
-    z, raw, record = _maximize(objective, starts, max(0.5 / (n - 1), 2e-5), 1e-5,
-                               opts.max_iters, best=(starts[0], float(vals[i])))
+    starts = [[lam_g[i], mu_g[i]]] + [[0.5, m] for m0 in _CORNER_SEEDS for m in (m0, 1.0 - m0)]
+    z, raw, record = _maximize(lambda z: _helper_objective(gamma, *np.clip(z, 0.0, 1.0).T),
+                               starts, max(0.5 / (n - 1), 2e-5), 1e-5, opts.max_iters,
+                               best=(starts[0], float(vals[i])))
     value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0
     lam, mu = np.clip(z, 0.0, 1.0).tolist()
     kappa = np.zeros(4, complex)

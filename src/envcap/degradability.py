@@ -27,7 +27,7 @@ from .channels import (
     effective_channel,
     kraus_normal_form,
 )
-from .linalg import check_state_vector, eigh2
+from .linalg import bloch_state, check_state_vector, eigh2
 
 #: |index| at or below this classifies as symmetric.  The index is a
 #: determinant of exactly representable 2x2 products; its noise floor is
@@ -104,9 +104,7 @@ def bloch_sphere_grid(n_theta: int, n_phi: int | None = None):
     th = np.linspace(0.0, np.pi, n_theta)
     ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     t, p = np.meshgrid(th, ph, indexing="ij")
-    states = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)],
-                      axis=-1).reshape(-1, 2)
-    return states, t.ravel(), p.ravel()
+    return bloch_state(t, p).reshape(-1, 2), t.ravel(), p.ravel()
 
 
 def batch_effective_kraus(v, etas: np.ndarray) -> np.ndarray:

@@ -210,25 +210,24 @@ def maximally_entangled(dim: int) -> np.ndarray:
     return psi
 
 
-def bloch_state(theta: float, phi: float) -> np.ndarray:
-    """Qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)],
-                    dtype=complex)
+def bloch_state(theta, phi) -> np.ndarray:
+    """Qubit states cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, broadcast
+    over arrays of angles to shape (..., 2)."""
+    amp = np.exp(1j * phi) * np.sin(theta / 2)
+    out = np.empty(np.shape(amp) + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = np.cos(theta / 2), amp
+    return out
 
 
 def bloch_density(r) -> np.ndarray:
     """Qubit density matrices (I + r.sigma)/2 over the last axis of ``r``;
     vectors outside the unit ball are scaled onto its surface."""
     r = np.asarray(r, dtype=float)
-    if r.ndim == 1:
-        nrm = np.linalg.norm(r)
-        bx, by, bz = r / nrm if nrm > 1.0 else r
-        return 0.5 * np.array([[1 + bz, bx - 1j * by], [bx + 1j * by, 1 - bz]],
-                              dtype=complex)
-    r = r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
-    bx, by, bz = r[..., 0], r[..., 1], r[..., 2]
-    return 0.5 * np.stack([np.stack([1 + bz, bx - 1j * by], -1),
-                           np.stack([bx + 1j * by, 1 - bz], -1)], -2)
+    bx, by, bz = np.moveaxis(r / np.maximum(np.sqrt((r * r).sum(-1, keepdims=True)), 1.0), -1, 0)
+    out = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = 1 + bz, bx - 1j * by
+    out[..., 1, 0], out[..., 1, 1] = bx + 1j * by, 1 - bz
+    return 0.5 * out
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

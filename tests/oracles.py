@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from envcap.capacity import _clip_ball, _jammer_affine, _jammer_ic, _maximize
+from envcap.capacity import _jammer_affine, _jammer_ic, _maximize
 from envcap.channels import as_two_qubit
 from envcap.experiments import B2_THETAS, b2_curve
 from envcap.linalg import bloch_density
+
+
+def _clip_ball(x: np.ndarray) -> np.ndarray:
+    r = np.linalg.norm(x)
+    return x / r if r > 1.0 else x
 
 
 def ball_grid(n: int) -> np.ndarray:
@@ -49,7 +54,8 @@ def jammer_search(v, eta_grid_n: int = 17, rho_grid_n: int = 9, max_iters: int =
     scores = np.array([_jammer_ic(_jammer_affine(v, bloch_density(x)), eta_grid).min()
                        for x in rho_grid])
     i0 = int(np.argmax(scores))
-    x, val, _ = _maximize(inner_min, [rho_grid[i0]], 0.2, 1e-6, max(60, max_iters // 4))
+    x, val, _ = _maximize(lambda rs: np.array([inner_min(r) for r in rs]), [rho_grid[i0]],
+                          0.2, 1e-6, max(60, max_iters // 4))
     return float(val), _clip_ball(x), argmins[x.tobytes()]
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +50,7 @@ from envcap.linalg import (
 from oracles import jammer_search
 
 PI = np.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
 KET0 = np.array([1, 0], dtype=complex)
 FAST_OPTS = OptimizerOptions(restarts=4, grid=32, max_iters=400)
 
@@ -611,19 +617,22 @@ class TestRestartRecord:
         assert hi - lo <= 1e-9
 
     def test_jammer_counts_its_runs(self, monkeypatch):
-        # the record is that of the upper bound's input search, which makes
-        # every optimizer run of the jammer
+        # the record is that of the upper bound's input search: one batched
+        # minimize call, which advances all of the jammer's restarts
         runs, minimize = [], capacity.minimize
 
         def counted(*args, **kwargs):
             res = minimize(*args, **kwargs)
-            runs.append(res.nfev)
+            runs.append(res)
             return res
 
         monkeypatch.setattr(capacity, "minimize", counted)
         d = jammer_value(CNOT, OptimizerOptions(max_iters=40)).diagnostics
-        assert len(runs) == d["restarts"] == 8
-        assert sum(runs) == d["nfev"]
+        assert len(runs) == 1
+        assert len(runs[0].calls) == d["restarts"] == 8
+        assert runs[0].nfev == d["nfev"]
+        assert int(runs[0].converged.sum()) == d["converged"]
+        assert np.array_equal(-runs[0].fun, d["restart_values"])
 
     def test_max_coherent_info_raw_value(self):
         res = max_coherent_info(identity_channel(), FAST_OPTS)
@@ -636,6 +645,95 @@ class TestRestartRecord:
         assert d["converged"] < d["restarts"]
         d = max_coherent_info(identity_channel(), FAST_OPTS).diagnostics
         assert d["converged"] == d["restarts"] == 4
+
+
+def bumpy(z):
+    """A smooth objective with many local minima, row by row."""
+    return (np.sin(3 * z) * z + 0.1 * z ** 2).sum(axis=1)
+
+
+def terraced(z):
+    """Plateaus with a gentle slope: many shrinks and tied values."""
+    return (np.floor(4 * np.abs(z)) + 0.01 * z ** 2).sum(axis=1)
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("maxiter", [12, 500])
+    def test_batch_independence(self, d, maxiter):
+        starts = np.random.default_rng(d).uniform(-2, 2, (6, d))
+        batch = capacity.minimize(bumpy, starts, 0.2, 1e-8, maxiter)
+        for i, x0 in enumerate(starts):
+            alone = capacity.minimize(bumpy, x0[None], 0.2, 1e-8, maxiter)
+            assert np.array_equal(alone.x[0], batch.x[i])
+            assert alone.fun[0] == batch.fun[i]
+            assert alone.calls[0] == batch.calls[i]
+            assert alone.converged[0] == batch.converged[i]
+        assert batch.nfev == batch.calls.sum()
+        assert batch.success == batch.converged.all()
+
+    def test_known_minimum(self):
+        centre, weight = np.array([0.3, -1.2, 0.7]), np.array([1.0, 4.0, 0.5])
+        starts = np.random.default_rng(5).uniform(-2, 2, (5, 3))
+        res = capacity.minimize(lambda z: ((z - centre) ** 2 * weight).sum(axis=1),
+                                starts, 0.25, 1e-8, 500)
+        assert res.success
+        assert np.abs(res.x - centre).max() <= 1e-8
+        assert res.fun.max() <= 1e-15
+
+    def test_iteration_cap(self):
+        starts = np.random.default_rng(6).uniform(-2, 2, (4, 3))
+        res = capacity.minimize(bumpy, starts, 0.2, 1e-8, 1)
+        assert not res.converged.any() and not res.success
+        assert np.array_equal(res.calls, [3 + 1] * 4)
+        d = max_coherent_info(identity_channel(), OptimizerOptions(max_iters=1)).diagnostics
+        assert d["converged"] == 0 and d["nfev"] == 8 * (3 + 1)
+
+    @pytest.mark.parametrize("gamma, value, nfev", [(0.3, 0.9172845820863875, 879),
+                                                    (0.6, 0.23610676138740194, 783),
+                                                    (0.74, 0.00013491156838341123, 637)])
+    def test_frozen_helper_values(self, gamma, value, nfev):
+        # frozen from sequential scipy Nelder-Mead runs with the same step rules
+        res = swap_power_helper_capacity(gamma)
+        d = res.diagnostics
+        assert res.value == pytest.approx(value, abs=1e-12)
+        assert d["nfev"] == nfev
+        assert d["converged"] == d["restarts"] == 9
+
+    def test_strictly_larger_replaces_best(self):
+        starts = np.random.default_rng(8).uniform(-1, 1, (3, 2))
+
+        def flat(z):
+            return np.zeros(len(z))
+
+        x, v, _ = capacity._maximize(flat, starts, 0.1, 1e-8, 50, best=("grid", 0.0))
+        assert (x, v) == ("grid", 0.0)
+        x, v, _ = capacity._maximize(flat, starts, 0.1, 1e-8, 50)
+        assert np.array_equal(x, starts[0]) and v == 0.0  # the first of equal runs
+
+    @pytest.mark.parametrize("f", [bumpy, terraced])
+    @pytest.mark.parametrize("d, maxiter", [(2, 3), (2, 500), (3, 8), (3, 500), (5, 5), (5, 40)])
+    def test_matches_scipy_step_by_step(self, f, d, maxiter, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        # scipy breaks ties with numpy's default sort, which need not be stable
+        sort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: sort(a, **{"kind": "stable", **kw}))
+        starts = np.random.default_rng(7).uniform(-2, 2, (6, d))
+        res = capacity.minimize(f, starts, 0.2, 1e-8, maxiter)
+        for i, x0 in enumerate(starts):
+            ref = optimize.minimize(
+                lambda x: f(x[None])[0], x0, method="Nelder-Mead",
+                options=dict(initial_simplex=np.vstack([x0, x0 + 0.2 * np.eye(d)]),
+                             xatol=1e-8, fatol=1e-10, maxiter=maxiter, maxfev=2 * maxiter))
+            assert np.array_equal(ref.x, res.x[i]) and ref.fun == res.fun[i]
+            assert ref.nfev == res.calls[i] and ref.success == res.converged[i]
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, envcap; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
 
 
 class TestHelperCapacity:

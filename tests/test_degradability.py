@@ -18,7 +18,7 @@ from envcap.degradability import (
     is_antidegradable_choi,
     is_universally_antidegradable,
 )
-from envcap.linalg import haar_unitary, random_pure_state
+from envcap.linalg import bloch_state, haar_unitary, random_pure_state
 
 KET0 = np.array([1, 0], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -178,3 +178,4 @@ def test_bloch_sphere_grid_shape():
     assert np.abs(np.linalg.norm(states, axis=1) - 1).max() < 1e-12
     assert thetas.min() == 0.0 and thetas.max() == pytest.approx(PI)
     assert phis.max() < 2 * PI
+    assert np.array_equal(states, bloch_state(thetas, phis))

@@ -4,6 +4,7 @@ import pytest
 from envcap.linalg import (
     binary_entropy,
     bloch_density,
+    bloch_state,
     check_density_matrix,
     eigh2,
     eigvals2,
@@ -254,3 +255,14 @@ def test_bloch_density_validity():
     assert stacked.shape == (4, 5, 2, 2)
     assert np.abs(stacked.reshape(20, 2, 2)
                   - np.array([bloch_density(r) for r in rs])).max() < 1e-15
+
+
+def test_bloch_state_broadcasts():
+    rng = np.random.default_rng(23)
+    thetas, phis = rng.uniform(0, np.pi, (3, 4)), rng.uniform(0, 2 * np.pi, (3, 4))
+    stacked = bloch_state(thetas, phis)
+    assert stacked.shape == (3, 4, 2) and stacked.dtype == complex
+    single = [[bloch_state(float(t), float(p)) for t, p in zip(*row)] for row in zip(thetas, phis)]
+    assert np.abs(stacked - np.array(single)).max() < 1e-15
+    assert bloch_state(0.3, phis).shape == (3, 4, 2)  # a scalar angle broadcasts
+    assert np.array_equal(bloch_state(np.pi, 0.0), [np.cos(np.pi / 2), 1.0])
