@@ -75,25 +75,34 @@ def magic_basis() -> list[np.ndarray]:
 
 
 def half_phases(params) -> np.ndarray:
-    ax, ay, az = params
+    ax, ay, az = np.asarray(params, dtype=float).T  # over the last axis
     return np.array([(ax - ay + az) / 2,
                      (-ax + ay + az) / 2,
                      (-ax - ay - az) / 2,
-                     (ax + ay - az) / 2])
+                     (ax + ay - az) / 2]).T
+
+
+def canonical_matrix(params) -> np.ndarray:
+    """Matrices (..., 4, 4) of the canonical gates at angles (..., 3)."""
+    lam = half_phases(params)
+    return (MAGIC * np.exp(-1j * lam)[..., None, :]) @ MAGIC.conj().T
 
 
 def canonical_unitary(params) -> BipartiteUnitary:
     """Two-qubit gate with phases e^{-i l_k} on the magic basis."""
-    lam = half_phases(params)
-    m = (MAGIC * np.exp(-1j * lam)) @ MAGIC.conj().T
-    return BipartiteUnitary(m)
+    return BipartiteUnitary(canonical_matrix(params))
+
+
+def swap_power_matrix(gamma) -> np.ndarray:
+    """Matrices (..., 4, 4) of :func:`swap_power` over an array of exponents."""
+    z = np.exp(1j * np.pi * np.asarray(gamma))
+    a, b = (1 + z) / 2, (1 - z) / 2
+    return a[..., None, None] * np.eye(4, dtype=complex) + b[..., None, None] * SWAP
 
 
 def swap_power(gamma: float) -> BipartiteUnitary:
     """Fractional swap (1 + e^{i pi gamma})/2 I + (1 - e^{i pi gamma})/2 SWAP."""
-    a = (1 + np.exp(1j * np.pi * gamma)) / 2
-    b = (1 - np.exp(1j * np.pi * gamma)) / 2
-    return BipartiteUnitary(a * np.eye(4, dtype=complex) + b * SWAP)
+    return BipartiteUnitary(swap_power_matrix(gamma))
 
 
 def fold_to_fundamental(raw) -> CanonicalParams:
@@ -103,14 +112,9 @@ def fold_to_fundamental(raw) -> CanonicalParams:
     is sorted descending.  Both operations preserve the gate class up to
     local unitaries and complex conjugation.
     """
-    out = []
-    for a in raw:
-        a = float(a) % np.pi
-        if a > np.pi / 2:
-            a = np.pi - a
-        out.append(a)
-    out.sort(reverse=True)
-    return CanonicalParams(*out)
+    folded = (float(a) % np.pi for a in raw)
+    return CanonicalParams(*sorted((np.pi - a if a > np.pi / 2 else a for a in folded),
+                                   reverse=True))
 
 
 def decompose_params(u, tol: float = 1e-8) -> CanonicalParams:
@@ -167,12 +171,10 @@ def in_antidegradable_region(params, tol: float = 1e-12) -> bool:
 
 
 def in_degradable_region(params, tol: float = 1e-12) -> bool:
-    """Whether every induced channel of the gate is degradable.
-
-    A gate is universally degradable exactly when swapping its outputs
-    gives a universally anti-degradable gate, so the test composes with
-    SWAP and re-extracts canonical angles.
+    """Whether every induced channel of the gate is degradable: exactly when
+    swapping its outputs gives a universally anti-degradable gate.  In the
+    magic basis, where canonical gates are diagonal, SWAP = e^{i pi/4}
+    U(pi/2, pi/2, pi/2), so the swapped gate is U(params + pi/2).
     """
-    swapped = SWAP @ canonical_unitary(params).matrix
-    folded = fold_to_fundamental(decompose_params(swapped))
-    return in_antidegradable_region(folded, tol=max(tol, 1e-9))
+    shifted = np.asarray(params, dtype=float) + np.pi / 2
+    return in_antidegradable_region(fold_to_fundamental(shifted), tol=max(tol, 1e-9))

@@ -47,6 +47,7 @@ from .linalg import (
     eigvals2,
     entropy,
     entropy_from_eigvals,
+    in_chunks,
     maximally_entangled,
     partial_trace,
     projector,
@@ -64,6 +65,9 @@ _CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 #: Seed of the random restart points drawn by :func:`max_coherent_info`.
 _RESTART_SEED = 1234
+
+#: Gates per stacked two-copy evaluation; bounds its (n, 32, 32) temporaries.
+_TWO_COPY_CHUNK = 32
 
 #: Nelder-Mead reflection, expansion, outside and inside contraction as
 #: a * centroid - c * worst vertex, in scipy's arithmetic: rows (a, c).
@@ -484,49 +488,64 @@ class TwoCopySpec:
                              "two qubits (AR)")
 
 
+def _two_copy_states(theta: float | None = None):
+    """(A', E'E, AR) states of :func:`standard_two_copy`, or of
+    :func:`theta_two_copy` at ``theta``."""
+    if theta is None:
+        return np.array([1, 0], complex), maximally_entangled(2), maximally_entangled(2)
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    inp = np.array([np.sqrt(theta), 0, 0, np.sqrt(1.0 - theta)], complex)
+    return np.array([0, 1], complex), maximally_entangled(2), inp
+
+
 def standard_two_copy(w, v) -> TwoCopySpec:
     """|0> on A', maximally entangled pairs on E'E and AR."""
-    return TwoCopySpec(
-        w=as_two_qubit(w),
-        v=as_two_qubit(v),
-        aprime_state=np.array([1, 0], complex),
-        env_state=maximally_entangled(2),
-        input_state=maximally_entangled(2),
-    )
+    return TwoCopySpec(as_two_qubit(w), as_two_qubit(v), *_two_copy_states())
 
 
 def theta_two_copy(w, v, theta: float) -> TwoCopySpec:
     """|1> on A', entangled environments, sqrt(theta)|00> + sqrt(1-theta)|11> on AR."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    inp = np.zeros(4, complex)
-    inp[0] = np.sqrt(theta)
-    inp[3] = np.sqrt(1.0 - theta)
-    return TwoCopySpec(
-        w=as_two_qubit(w),
-        v=as_two_qubit(v),
-        aprime_state=np.array([0, 1], complex),
-        env_state=maximally_entangled(2),
-        input_state=inp,
-    )
+    return TwoCopySpec(as_two_qubit(w), as_two_qubit(v), *_two_copy_states(theta))
 
 
-def two_copy_coherent_info(spec: TwoCopySpec) -> float:
-    """S(B'B) - S(F'F) of the five-qubit output state.
+def _two_copy(w, v, aprime, env, inp):
+    """S(B'B) - S(F'F) for gate matrices w, v (..., 4, 4), broadcast
+    together: an array of their leading shape, a scalar for one pair.
 
     The global state is (W (x) V (x) I_R) applied to
     aprime (x) env (x) input, with wires ordered A', E', A, E, R at the
     input and B', F', B, F, R at the output.
     """
-    psi = np.kron(np.kron(spec.aprime_state, spec.env_state), spec.input_state)
+    psi = np.kron(np.kron(aprime, env), inp)
     # input factors arrive as A', E', E, A, R; the gates act on (A',E'), (A,E)
     psi = psi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(32)
-    g = np.kron(np.kron(spec.w.matrix, spec.v.matrix), np.eye(2, dtype=complex))
-    out = projector(g @ psi)
-    dims = (2, 2, 2, 2, 2)
-    rho_bb = partial_trace(out, dims, keep=(0, 2))
-    rho_ff = partial_trace(out, dims, keep=(1, 3))
-    return entropy(rho_bb, validate=False) - entropy(rho_ff, validate=False)
+
+    def stack(w, v):  # np.kron(np.kron(w, v), I_2) over (n, 4, 4) stacks
+        wv = (w[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
+        g = (wv[:, :, None, :, None] * np.eye(2, dtype=complex)[:, None, :]).reshape(-1, 32, 32)
+        out = projector(g @ psi)
+        dims = (2, 2, 2, 2, 2)
+        rho_bb = partial_trace(out, dims, keep=(0, 2))
+        rho_ff = partial_trace(out, dims, keep=(1, 3))
+        return entropy(rho_bb, validate=False) - entropy(rho_ff, validate=False)
+
+    w, v = np.broadcast_arrays(np.asarray(w, complex), np.asarray(v, complex))
+    vals = in_chunks(stack, _TWO_COPY_CHUNK, w.reshape(-1, 4, 4), v.reshape(-1, 4, 4))
+    return vals.reshape(w.shape[:-2])[()]
+
+
+def two_copy_coherent_info(spec: TwoCopySpec) -> float:
+    """S(B'B) - S(F'F) of the five-qubit output state of ``spec``."""
+    return float(_two_copy(spec.w.matrix, spec.v.matrix, spec.aprime_state,
+                           spec.env_state, spec.input_state))
+
+
+def two_copy_curve(w, v, theta: float | None = None):
+    """:func:`two_copy_coherent_info` over gate matrices w, v (..., 4, 4),
+    broadcast together and taken as given, wired as :func:`standard_two_copy`
+    or as :func:`theta_two_copy` at ``theta``."""
+    return _two_copy(w, v, *_two_copy_states(theta))
 
 
 def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:

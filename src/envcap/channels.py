@@ -204,42 +204,38 @@ def complement_channel(c: KrausChannel) -> KrausChannel:
     return KrausChannel(ops, dim_in=c.dim_in, dim_out=k)
 
 
+def normal_form_stack(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus normal form of stacks of Kraus lists (..., n, out, in): the
+    operators that diagonalize the Gram matrix Tr K_i^dag K_j, by descending
+    weight Tr K^dag K (ties broken by lexicographic comparison of entries),
+    and their weights.  Nothing is dropped."""
+    ops = np.asarray(ops, dtype=complex)
+    adj = ops.conj().swapaxes(-1, -2)[..., :, None, :, :]
+    _, w = np.linalg.eigh(np.trace(adj @ ops[..., None, :, :, :], axis1=-2, axis2=-1))
+    new = sum(w[..., k, :, None, None] * ops[..., k:k + 1, :, :] for k in range(ops.shape[-3]))
+    weights = np.trace(new.conj().swapaxes(-1, -2) @ new, axis1=-2, axis2=-1).real
+    ent = new.reshape(new.shape[:-2] + (new.shape[-2] * new.shape[-1],))
+    # sort keys, last one first: -weight, then the entries' (real, imag) in order
+    keys = [x for e in np.moveaxis(ent, -1, 0)[::-1] for x in (e.imag, e.real)]
+    order = np.lexsort(keys + [-weights], axis=-1)
+    return (np.take_along_axis(new, order[..., None, None], -3),
+            np.take_along_axis(weights, order, -1))
+
+
 def kraus_normal_form(c: KrausChannel) -> KrausChannel:
-    """Equivalent Kraus list with pairwise trace-orthogonal operators.
-
-    Diagonalizes the Gram matrix Tr K_i^dag K_j, orders the resulting
-    operators by descending weight Tr K^dag K (ties broken by
-    lexicographic comparison of entries), and drops operators whose
-    weight is below the zero floor.
-    """
-    ops = c.kraus
-    n = len(ops)
-    gram = np.array([[np.trace(a.conj().T @ b) for b in ops] for a in ops])
-    _, w = np.linalg.eigh(gram)
-    new = [sum(w[k, m] * ops[k] for k in range(n)) for m in range(n)]
-    weights = [float(np.trace(k.conj().T @ k).real) for k in new]
-
-    def sort_key(i):
-        k = new[i]
-        ent = k.reshape(-1)
-        return (-weights[i], tuple(zip(ent.real, ent.imag)))
-
-    order = sorted(range(n), key=sort_key)
-    kept = tuple(new[i] for i in order if weights[i] > KRAUS_WEIGHT_FLOOR)
+    """Equivalent Kraus list of :func:`normal_form_stack`, without the
+    operators whose weight is below the zero floor."""
+    ops, weights = normal_form_stack(np.stack(c.kraus))
+    kept = tuple(k for k, wt in zip(ops, weights) if wt > KRAUS_WEIGHT_FLOOR)
     return KrausChannel(kept, dim_in=c.dim_in, dim_out=c.dim_out)
 
 
 def choi_state(c: KrausChannel) -> np.ndarray:
     """Choi state (id (x) c)(|Phi><Phi|) on R (x) B, unit trace."""
     d = c.dim_in
-    phi = maximally_entangled(d)
-    stack = np.stack(c.kraus)  # (k, out, in)
-    # (I_R (x) K) |Phi> for each Kraus operator, summed as a mixture
-    out = np.zeros((d * c.dim_out, d * c.dim_out), dtype=complex)
-    for k in range(stack.shape[0]):
-        v = (stack[k] @ phi.reshape(d, d).T).T.reshape(-1)  # R-major ordering
-        out += projector(v)
-    return out
+    # (I_R (x) K) |Phi> for each Kraus operator (R-major), summed as a mixture
+    vecs = (np.stack(c.kraus) @ maximally_entangled(d).reshape(d, d).T).swapaxes(-1, -2)
+    return projector(vecs.reshape(len(c.kraus), -1)).sum(0)
 
 
 def channel_reduction_b(c: KrausChannel) -> np.ndarray:

@@ -15,28 +15,27 @@ import numpy as np
 
 from .canonical import (
     SWAP,
+    canonical_matrix,
     canonical_unitary,
     in_antidegradable_region,
     in_degradable_region,
     swap_power,
+    swap_power_matrix,
 )
 from .capacity import (
     OptimizerOptions,
     find_zero_crossing,
     jammer_value,
     separable_helper_capacity,
-    standard_two_copy,
     swap_power_helper_capacity,
-    theta_two_copy,
-    two_copy_coherent_info,
+    two_copy_curve,
 )
 from .channels import BipartiteUnitary
 from .degradability import (
     bloch_sphere_grid,
-    classify_env,
+    classify_envs,
     is_universally_antidegradable,
 )
-from .linalg import bloch_state
 
 #: Default theta slices for the b2 family.
 B2_THETAS = (0.5, 2.0 ** -6, 2.0 ** -10)
@@ -133,32 +132,33 @@ A3_FAMILIES = (
 )
 
 
-def _family_gate(label: str, t: float) -> BipartiteUnitary:
-    return canonical_unitary(dict(A3_FAMILIES)[label](t))
+def _family_matrix(label: str, t):
+    point = dict(A3_FAMILIES)[label](np.asarray(t, dtype=float))
+    return canonical_matrix(np.stack(np.broadcast_arrays(*point), -1))
 
 
-def a1_curve(gamma: float, t: float = 0.0) -> float:
-    """Coherent info of a swap-dcnot edge gate paired with a fractional swap."""
-    return two_copy_coherent_info(standard_two_copy(_family_gate("s", t), swap_power(gamma)))
+def a1_curve(gamma, t=0.0):
+    """Coherent info of a swap-dcnot edge gate paired with a fractional swap
+    (this curve and the ones below take arrays of gamma and t too)."""
+    return two_copy_curve(_family_matrix("s", t), swap_power_matrix(gamma))
 
 
-def a3_curve(label: str, t: float) -> float:
-    w = _family_gate(label, t)
-    return two_copy_coherent_info(standard_two_copy(w, canonical_unitary(_SQRT_SWAP_POINT)))
+def a3_curve(label: str, t):
+    return two_copy_curve(_family_matrix(label, t), canonical_matrix(_SQRT_SWAP_POINT))
 
 
-def a2_curve(t: float) -> float:
-    return two_copy_coherent_info(standard_two_copy(SWAP, _family_gate("r", t)))
+def a2_curve(t):
+    return two_copy_curve(SWAP, _family_matrix("r", t))
 
 
-def b1_curve(t: float) -> float:
-    g = _family_gate("p1", t)
-    return two_copy_coherent_info(standard_two_copy(g, g))
+def b1_curve(t):
+    g = _family_matrix("p1", t)
+    return two_copy_curve(g, g)
 
 
-def b2_curve(t: float, theta: float) -> float:
-    g = _family_gate("q2", t)
-    return two_copy_coherent_info(theta_two_copy(g, g, theta))
+def b2_curve(t, theta: float):
+    g = _family_matrix("q2", t)
+    return two_copy_curve(g, g, theta)
 
 
 # -- command table ---------------------------------------------------------
@@ -166,30 +166,28 @@ def b2_curve(t: float, theta: float) -> float:
 def _a1_rows(cfg, opts):
     ts = list(cfg.params) if cfg.params else [0.0]
     gammas = np.linspace(0.5, 1.0, cfg.grid)
-    rows = [(g, t, a1_curve(g, t)) for t in ts for g in gammas]
+    rows = [(g, t, c) for t in ts for g, c in zip(gammas, a1_curve(gammas, t))]
     return ("gamma", "t", "coherent_info"), rows
-
-
-def _a2_rows(cfg, opts):
-    ts = np.linspace(0.0, 1.0, cfg.grid)
-    return ("t", "curve_label", "coherent_info"), [(t, "a2", a2_curve(t)) for t in ts]
 
 
 def _a3_rows(cfg, opts):
     ts = np.linspace(0.0, 1.0, cfg.grid)
-    rows = [(t, label, a3_curve(label, t)) for label, _ in A3_FAMILIES for t in ts]
+    rows = [(t, label, c) for label, _ in A3_FAMILIES for t, c in zip(ts, a3_curve(label, ts))]
     return ("t", "curve_label", "coherent_info"), rows
 
 
-def _b1_rows(cfg, opts):
-    ts = np.linspace(0.0, 1.0, cfg.grid)
-    return ("t", "curve_label", "coherent_info"), [(t, "m", b1_curve(t)) for t in ts]
+def _curve_rows(curve, label: str):
+    """Builder of the rows (t, label, curve(t)) over the grid of t."""
+    def build(cfg, opts):
+        ts = np.linspace(0.0, 1.0, cfg.grid)
+        return ("t", "curve_label", "coherent_info"), [(t, label, c) for t, c in zip(ts, curve(ts))]
+    return build
 
 
 def _b2_rows(cfg, opts):
     thetas = list(cfg.params) if cfg.params else list(B2_THETAS)
     ts = np.linspace(0.0, 1.0, cfg.grid)
-    rows = [(t, th, b2_curve(t, th)) for th in thetas for t in ts]
+    rows = [(t, th, c) for th in thetas for t, c in zip(ts, b2_curve(ts, th))]
     return ("t", "theta", "coherent_info"), rows
 
 
@@ -209,22 +207,17 @@ def _region_scan_rows(cfg, opts):
         for ay in axis[axis <= ax + 1e-12]:
             for az in axis[axis <= ay + 1e-12]:
                 p = (float(ax), float(ay), float(az))
-                rows.append((p[0], p[1], p[2],
-                             in_antidegradable_region(p),
-                             in_degradable_region(p),
-                             is_universally_antidegradable(
-                                 canonical_unitary(p), REGION_UNIVERSAL_GRID)))
+                rows.append((*p, in_antidegradable_region(p), in_degradable_region(p),
+                             is_universally_antidegradable(canonical_unitary(p),
+                                                           REGION_UNIVERSAL_GRID)))
     return ("alpha_x", "alpha_y", "alpha_z", "in_A", "in_D", "universal_numeric"), rows
 
 
 def _classify_rows(cfg, opts):
-    gate = _gate_from_params(cfg.params)
-    _, thetas, phis = bloch_sphere_grid(cfg.grid, cfg.grid)
-    rows = []
-    for th, ph in zip(thetas, phis):
-        cl = classify_env(gate, bloch_state(th, ph))
-        rows.append((th, ph, cl.index, cl.tag.value))
-    return ("theta", "phi", "index", "class"), rows
+    etas, thetas, phis = bloch_sphere_grid(cfg.grid, cfg.grid)
+    cls = classify_envs(_gate_from_params(cfg.params), etas)
+    return ("theta", "phi", "index", "class"), [
+        (th, ph, cl.index, cl.tag.value) for th, ph, cl in zip(thetas, phis, cls)]
 
 
 def _qhtens_rows(cfg, opts):
@@ -268,9 +261,9 @@ _OUTPUT = frozenset({"output_path", "format", "no_timestamp"})
 #: (header, rows); ``locate`` targets return a root, ``tol`` bisects it.
 COMMANDS = {
     "a1": Command(_a1_rows, _OUTPUT | {"grid", "params"}),
-    "a2": Command(_a2_rows, _OUTPUT | {"grid"}),
+    "a2": Command(_curve_rows(a2_curve, "a2"), _OUTPUT | {"grid"}),
     "a3": Command(_a3_rows, _OUTPUT | {"grid"}),
-    "b1": Command(_b1_rows, _OUTPUT | {"grid"}),
+    "b1": Command(_curve_rows(b1_curve, "m"), _OUTPUT | {"grid"}),
     "b2": Command(_b2_rows, _OUTPUT | {"grid", "params"}),
     "eh_swap": Command(_eh_swap_rows, _OUTPUT | {"grid", "tol"}),
     "region_scan": Command(_region_scan_rows, _OUTPUT | {"grid"}, grid=9),

@@ -85,14 +85,15 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     ``dims`` gives the dimension of each tensor factor (row-major order)
     and must multiply to the side of ``m``.  ``keep`` is a subsystem
     index or an iterable of indices; the kept factors stay in their
-    original relative order.
+    original relative order.  Leading axes of ``m`` index a stack.
     """
-    m = as_complex_matrix(m)
+    m = np.asarray(m, dtype=complex)
     dims = [int(d) for d in dims]
     side = int(np.prod(dims))
-    if m.shape != (side, side):
+    if m.shape[-2:] != (side, side):
         raise ValueError(
             f"matrix of shape {m.shape} does not match subsystem split {tuple(dims)}")
+    lead = m.shape[:-2]
     if isinstance(keep, (int, np.integer)):
         keep = [int(keep)]
     keep = sorted(set(int(k) for k in keep))
@@ -101,11 +102,11 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     cur = m
     cur_dims = list(dims)
     for i in [i for i in reversed(range(len(dims))) if i not in keep]:
-        n = len(cur_dims)
-        cur = np.trace(cur.reshape(cur_dims + cur_dims), axis1=i, axis2=n + i)
+        k = len(lead) + i
+        cur = np.trace(cur.reshape(lead + tuple(cur_dims) * 2), axis1=k, axis2=k + len(cur_dims))
         cur_dims.pop(i)
         d = int(np.prod(cur_dims)) if cur_dims else 1
-        cur = cur.reshape(d, d)
+        cur = cur.reshape(lead + (d, d))
     return cur
 
 
@@ -151,6 +152,13 @@ def eigh2(m) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([half - r, half + r], -1), vecs
 
 
+def in_chunks(f, size: int, *stacks) -> np.ndarray:
+    """``f`` over slices of ``size`` along the first axis of ``stacks``,
+    concatenated: the values of one call, with bounded temporaries."""
+    starts = range(0, len(stacks[0]) or 1, size)
+    return np.concatenate([f(*(s[i:i + size] for s in stacks)) for i in starts])
+
+
 def entropy_from_eigvals(w):
     """Von Neumann entropy in bits from eigenvalues over the last axis.
 
@@ -172,10 +180,7 @@ def entropy(rho, validate: bool = True):
     With ``validate=False`` a stack of matrices over the leading axes is
     accepted; stacks of 2x2 matrices take the closed-form spectrum.
     """
-    if validate:
-        rho = check_density_matrix(rho)
-    else:
-        rho = np.asarray(rho, dtype=complex)
+    rho = check_density_matrix(rho) if validate else np.asarray(rho, dtype=complex)
     if rho.ndim > 2 and rho.shape[-2:] == (2, 2):
         return entropy_from_eigvals(eigvals2(rho))
     return entropy_from_eigvals(np.linalg.eigvalsh(rho))
@@ -194,9 +199,9 @@ def binary_entropy(x: float) -> float:
 
 
 def projector(psi) -> np.ndarray:
-    """|psi><psi| for a state vector."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return np.outer(psi, psi.conj())
+    """|psi><psi| for state vectors over the last axis of ``psi``."""
+    psi = np.asarray(psi, dtype=complex)
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def maximally_mixed(dim: int) -> np.ndarray:

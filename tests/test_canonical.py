@@ -5,6 +5,7 @@ from envcap.canonical import (
     CNOT,
     DCNOT,
     SWAP,
+    canonical_matrix,
     canonical_unitary,
     decompose_params,
     fold_to_fundamental,
@@ -13,8 +14,10 @@ from envcap.canonical import (
     in_degradable_region,
     magic_basis,
     swap_power,
+    swap_power_matrix,
 )
 from envcap.linalg import haar_unitary, tensor
+from oracles import in_degradable_region_by_swap, region_points, same_bits
 
 PI = np.pi
 
@@ -174,3 +177,50 @@ class TestRegions:
                             and in_degradable_region((ax, ay, az))):
                         both.append((ax, ay, az))
         assert both == [(PI / 4, PI / 4, PI / 4)]
+
+
+class TestDegradableClosedForm:
+    """SWAP U(p) is U(p + pi/2) up to a phase, so the closed form has to
+    give the same answer as extracting the swapped gate's angles."""
+
+    @pytest.mark.parametrize("n", [5, 9, 17, 33])
+    def test_region_grids(self, n):
+        for p in region_points(n):
+            assert in_degradable_region(p) == in_degradable_region_by_swap(p), p
+
+    def test_random_tetrahedron_points(self):
+        rng = np.random.default_rng(91)
+        hits = 0
+        for _ in range(3000):
+            p = random_tetrahedron_point(rng)
+            assert in_degradable_region(p) == in_degradable_region_by_swap(p), p
+            hits += in_degradable_region(p)
+        assert 0 < hits < 3000
+
+    def test_swap_is_the_shifted_vertex(self):
+        u = canonical_unitary((PI / 2,) * 3).matrix
+        assert np.abs(SWAP - np.exp(1j * PI / 4) * u).max() < 1e-15
+
+
+class TestStackedBuilders:
+    def test_canonical_matrix_is_the_gate_bit_for_bit(self):
+        rng = np.random.default_rng(92)
+        params = rng.uniform(-2.0, 2.0, (5, 7, 3))
+        stack = canonical_matrix(params)
+        assert stack.shape == (5, 7, 4, 4)
+        for p, m in zip(params.reshape(-1, 3), stack.reshape(-1, 4, 4)):
+            assert same_bits(m, canonical_unitary(tuple(p.tolist())).matrix)
+
+    def test_swap_power_matrix_is_the_gate_bit_for_bit(self):
+        gammas = np.linspace(0.0, 1.0, 33)
+        stack = swap_power_matrix(gammas)
+        assert stack.shape == (33, 4, 4)
+        for g, m in zip(gammas, stack):
+            assert same_bits(m, swap_power(float(g)).matrix)
+
+    def test_half_phases_broadcast(self):
+        rng = np.random.default_rng(93)
+        params = rng.uniform(0.0, 1.0, (4, 3))
+        stacked = half_phases(params)
+        for p, lam in zip(params, stacked):
+            assert same_bits(lam, half_phases(tuple(p)))

@@ -14,6 +14,7 @@ from envcap.channels import (
     effective_channel,
     entangled_env_channel,
     kraus_normal_form,
+    normal_form_stack,
     tensor_gates,
 )
 from envcap.linalg import (
@@ -27,6 +28,7 @@ from envcap.linalg import (
     random_pure_state,
     tensor,
 )
+from oracles import kraus_normal_form_by_list, same_bits
 
 KET0 = np.array([1, 0], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -221,6 +223,36 @@ class TestNormalForm:
         zero = np.zeros((2, 2), dtype=complex)
         ch = KrausChannel((k0, zero), dim_in=2, dim_out=2)
         assert len(kraus_normal_form(ch)) == 1
+
+
+class TestNormalFormStack:
+    def test_stack_equals_each_channel_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        gates = [haar_unitary(4, rng) for _ in range(6)]
+        for n_env in (1, 2):  # two Kraus operators from pure states, four from mixed
+            envs = [random_density_matrix(2, rng) if n_env == 2 else random_pure_state(2, rng)
+                    for _ in range(4)]
+            chans = [[effective_channel(v, e) for e in envs] for v in gates]
+            ops, weights = normal_form_stack([[np.stack(c.kraus) for c in row] for row in chans])
+            assert ops.shape == (6, 4, 2 * n_env, 2, 2) and weights.shape == (6, 4, 2 * n_env)
+            for row_ops, row_w, row in zip(ops, weights, chans):
+                for k, w, ch in zip(row_ops, row_w, row):
+                    nf = kraus_normal_form(ch)
+                    assert same_bits(k[:len(nf)], np.stack(nf.kraus))
+                    assert np.all(w[len(nf):] <= 1e-14) and np.all(w[:len(nf)] > 1e-14)
+                    want_ops, want_w = kraus_normal_form_by_list(ch.kraus)
+                    assert same_bits(k, np.stack(want_ops)) and same_bits(w, want_w)
+
+    def test_equal_weights_sorted_by_entries(self):
+        # sigma_x and sigma_z have equal weight and orthogonal Gram columns;
+        # sigma_x comes first because its first entry is the smaller
+        sx = np.array([[0, 1], [1, 0]], complex) / np.sqrt(2)
+        sz = np.array([[1, 0], [0, -1]], complex) / np.sqrt(2)
+        ops, weights = normal_form_stack([[sz, sx], [sx, sz]])
+        for pair in ops:
+            assert np.abs(np.abs(pair[0]) - np.abs(sx)).max() < 1e-15
+        nf = kraus_normal_form(KrausChannel((sz, sx), dim_in=2, dim_out=2))
+        assert same_bits(np.stack(nf.kraus), ops[0])
 
 
 class TestChoiState:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -6,16 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from envcap.canonical import SWAP, canonical_unitary, swap_power
+from envcap.capacity import standard_two_copy, theta_two_copy, two_copy_coherent_info
 from envcap.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from envcap.experiments import (
+    A3_FAMILIES,
     COMMANDS,
     EXPERIMENTS,
     ExperimentConfig,
     a1_curve,
+    a2_curve,
+    a3_curve,
+    b1_curve,
     b2_curve,
     run_experiment,
 )
-from oracles import b2_best_over_theta
+from oracles import b2_best_over_theta, same_bits, two_copy_by_kron
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -343,3 +350,73 @@ class TestExperimentTables:
         low, _ = b2_best_over_theta(0.05)
         assert mid > 1e-3
         assert 0 < low < mid
+
+
+#: SHA-256 of ``--no-timestamp`` CSVs as the per-row (unstacked) tables wrote
+#: them.  The header holds the package version, so a version bump moves them.
+PINNED_CSV = {
+    "a3 --grid 9": "548e4def4c36783cf8dfb2c1f7b7fea8d4fc5f7302ae249060546cc1ff2078ea",
+    "b2 --grid 9": "b606b3a95883e008493bc6dacffa6aabfbbe56970dd37bbf6e361df151ccef4c",
+    "region_scan --grid 5": "f396a5f2b3ad602565bb607df7a9ecd82853050803817a380426ad0df88990d3",
+    "classify --grid 8 --params 0.3,0.2,0.1":
+        "3f4c5e2c3ad9c9f25f924038c2e17cc126c3558bee7175d0662b0496fa89d3dd",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_CSV))
+def test_pinned_csv_bytes(args, tmp_path):
+    path = tmp_path / "out.csv"
+    assert main([*args.split(), "--no-timestamp", "--out", str(path)]) == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV[args]
+
+
+def family_gate(label, t):
+    return canonical_unitary(dict(A3_FAMILIES)[label](float(t)))
+
+
+class TestStackedCurveRows:
+    """Every row of a stacked curve table equals, bit for bit, the lone call
+    at its point and the one-pair Kronecker-product computation."""
+
+    @staticmethod
+    def rows(name, **kw):
+        return run_experiment(ExperimentConfig(name, grid=9, **kw))[1]
+
+    @staticmethod
+    def by_kron(spec):
+        return np.float64(two_copy_by_kron(spec))
+
+    def test_a1(self):
+        for g, t, val in self.rows("a1", params=(0.0, 0.3)):
+            assert same_bits(val, a1_curve(float(g), t))
+            spec = standard_two_copy(family_gate("s", t), swap_power(float(g)))
+            assert same_bits(val, self.by_kron(spec))
+            assert same_bits(val, np.float64(two_copy_coherent_info(spec)))
+
+    def test_a2_a3_b1(self):
+        sqrt_swap = canonical_unitary((np.pi / 4,) * 3)
+        for t, _, val in self.rows("a2"):
+            assert same_bits(val, a2_curve(float(t)))
+            assert same_bits(val, self.by_kron(standard_two_copy(SWAP, family_gate("r", t))))
+        for t, label, val in self.rows("a3"):
+            assert same_bits(val, a3_curve(label, float(t)))
+            spec = standard_two_copy(family_gate(label, t), sqrt_swap)
+            assert same_bits(val, self.by_kron(spec))
+        for t, _, val in self.rows("b1"):
+            assert same_bits(val, b1_curve(float(t)))
+            g = family_gate("p1", t)
+            assert same_bits(val, self.by_kron(standard_two_copy(g, g)))
+
+    def test_b2(self):
+        rows = self.rows("b2")
+        assert len(rows) == 27
+        for t, theta, val in rows:
+            assert same_bits(val, b2_curve(float(t), theta))
+            g = family_gate("q2", t)
+            assert same_bits(val, self.by_kron(theta_two_copy(g, g, theta)))
+
+    def test_stacks_keep_their_shape(self):
+        ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        vals = b1_curve(ts)
+        assert vals.shape == (2, 3)
+        assert same_bits(vals[1, 2], b1_curve(1.0))

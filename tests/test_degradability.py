@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from envcap.canonical import CNOT, SWAP, canonical_unitary, swap_power
+from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, swap_power
 from envcap.channels import (
     KrausChannel,
     complementary_channel,
@@ -9,16 +9,20 @@ from envcap.channels import (
     kraus_normal_form,
 )
 from envcap.degradability import (
+    SYMMETRIC_TOL,
     Degradability,
     batch_degradability_index,
     batch_effective_kraus,
     bloch_sphere_grid,
     classify_env,
+    classify_envs,
     degradability_index,
     is_antidegradable_choi,
     is_universally_antidegradable,
 )
-from envcap.linalg import bloch_state, haar_unitary, random_pure_state
+from envcap.experiments import REGION_UNIVERSAL_GRID
+from envcap.linalg import bloch_state, eigvals2, haar_unitary, random_pure_state
+from oracles import degradability_index_by_list, region_points, same_bits
 
 KET0 = np.array([1, 0], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -179,3 +183,71 @@ def test_bloch_sphere_grid_shape():
     assert thetas.min() == 0.0 and thetas.max() == pytest.approx(PI)
     assert phis.max() < 2 * PI
     assert np.array_equal(states, bloch_state(thetas, phis))
+
+
+def pool_gates() -> list:
+    """The benchmark's gate pool: 16 Haar gates from seed 20140730, reduced
+    to canonical form."""
+    rng = np.random.default_rng(20140730)
+    return [canonical_unitary(decompose_params(haar_unitary(4, rng))) for _ in range(16)]
+
+
+def tags(index: np.ndarray) -> np.ndarray:
+    """-1, 0, +1 for anti-degradable, symmetric and degradable indices."""
+    return np.where(np.abs(index) <= SYMMETRIC_TOL, 0, np.sign(index))
+
+
+class TestStackedIndex:
+    def test_classify_envs_equals_scalar_bit_for_bit(self):
+        etas, _, _ = bloch_sphere_grid(12, 12)
+        for v in pool_gates() + [canonical_unitary((PI / 2, 0.0, 0.0))]:
+            stacked = classify_envs(v, etas)
+            for eta, cl in zip(etas, stacked):
+                assert same_bits(cl.index, degradability_index(v, eta))
+                assert same_bits(cl.index, degradability_index_by_list(v, eta))
+                assert cl == classify_env(v, eta)
+
+    def test_chunks_do_not_change_values(self):
+        # 33 x 33 states run as two chunks; every state equals its lone call
+        etas, _, _ = bloch_sphere_grid(33, 33)
+        v = pool_gates()[3]
+        index = [cl.index for cl in classify_envs(v, etas)]
+        assert same_bits(index, [degradability_index(v, eta) for eta in etas])
+        assert classify_envs(v, etas[:0]) == []
+
+    def test_single_state_kraus_unchanged(self):
+        # one state takes the stacked contraction; it must give the bits of
+        # the single-state contraction
+        rng = np.random.default_rng(66)
+        for _ in range(20):
+            v = haar_unitary(4, rng)
+            eta = random_pure_state(2, rng)
+            single = np.einsum("bfae,e->fba", v.reshape(2, 2, 2, 2), eta)
+            assert same_bits(batch_effective_kraus(v, eta), single)
+
+
+class TestBatchedAgainstNormalForm:
+    """The closed-form batched index against the normal-form kernel on the
+    states that ``region_scan --grid 5`` scans."""
+
+    def test_tags_agree_and_values_where_the_gram_gap_is_open(self):
+        etas, _, _ = bloch_sphere_grid(REGION_UNIVERSAL_GRID, REGION_UNIVERSAL_GRID)
+        for p in region_points(5):
+            v = canonical_unitary(p)
+            batch = batch_degradability_index(v, etas)
+            exact = np.array([cl.index for cl in classify_envs(v, etas)])
+            assert np.array_equal(tags(batch), tags(exact)), p
+            k = batch_effective_kraus(v, etas)
+            w = eigvals2(np.einsum("niba,njba->nij", k.conj(), k))
+            open_gap = w[:, 1] - w[:, 0] > 1e-6
+            assert np.abs(batch - exact)[open_gap].max(initial=0.0) <= 1e-10, p
+
+    def test_degenerate_weights_leave_the_value_open(self):
+        # at (pi/2, 0, 0) both Kraus weights are 1 on some states, where the
+        # two kernels pick different leading operators
+        etas, _, _ = bloch_sphere_grid(REGION_UNIVERSAL_GRID, REGION_UNIVERSAL_GRID)
+        v = canonical_unitary((PI / 2, 0.0, 0.0))
+        batch = batch_degradability_index(v, etas)
+        exact = np.array([cl.index for cl in classify_envs(v, etas)])
+        assert np.abs(batch - exact).max() > 0.5
+        assert np.array_equal(tags(batch), tags(exact))

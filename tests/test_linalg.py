@@ -11,6 +11,7 @@ from envcap.linalg import (
     entropy,
     haar_unitary,
     herm_eigvals,
+    in_chunks,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
@@ -19,6 +20,7 @@ from envcap.linalg import (
     random_pure_state,
     tensor,
 )
+from oracles import same_bits
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -104,6 +106,38 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(6), (2, 2), 0)
+        with pytest.raises(ValueError):
+            partial_trace(np.ones(16), (2, 2), 0)
+
+    def test_stack_equals_each_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        rhos = np.array([[random_density_matrix(8, rng) for _ in range(3)] for _ in range(2)])
+        for keep in ((0, 2), (1,), 2):
+            out = partial_trace(rhos, (2, 2, 2), keep)
+            for got, rho in zip(out.reshape(6, *out.shape[2:]), rhos.reshape(6, 8, 8)):
+                assert same_bits(got, partial_trace(rho, (2, 2, 2), keep))
+
+
+def test_projector_stack():
+    rng = np.random.default_rng(18)
+    psis = np.array([random_pure_state(4, rng) for _ in range(5)])
+    stack = projector(psis)
+    assert stack.shape == (5, 4, 4)
+    for p, psi in zip(stack, psis):
+        assert same_bits(p, np.outer(psi, psi.conj()))
+
+
+def test_in_chunks_joins_slices():
+    a, b = np.arange(10.0), np.arange(10.0, 20.0)
+    calls = []
+
+    def f(x, y):
+        calls.append(len(x))
+        return x * y
+
+    assert same_bits(in_chunks(f, 4, a, b), a * b)
+    assert calls == [4, 4, 2]
+    assert in_chunks(f, 4, a[:0], b[:0]).shape == (0,)  # one call on the empty stack
 
 
 class TestHermEigvals:
