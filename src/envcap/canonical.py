@@ -59,19 +59,9 @@ class CanonicalParams(NamedTuple):
     alpha_y: float
     alpha_z: float
 
-    def in_tetrahedron(self, tol: float = 1e-12) -> bool:
-        ax, ay, az = self
-        return (np.pi / 2 + tol >= ax >= ay - tol and ay >= az - tol
-                and az >= -tol)
-
 
 class DecompositionError(ValueError):
     """No eigenphase assignment matched within tolerance."""
-
-
-def magic_basis() -> list[np.ndarray]:
-    """The four magic-basis vectors, in order."""
-    return [MAGIC[:, k].copy() for k in range(4)]
 
 
 def half_phases(params) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Coherent-information objectives and their optimizers.
 
 The coherent information of a channel N at input rho is
-S(N(rho)) - S(N~(rho)), with N~ the complementary channel built from the
+S(N(rho)) - S(N~(rho)), with N~(rho) the environment output of the
 canonical dilation of the Kraus list.  On top of that single quantity
 this module provides:
 
@@ -14,9 +14,10 @@ this module provides:
   closed form at the maximally mixed input and environment, bracketed
   above by the input maximum of that one channel,
 * coherent information of two gates run in parallel on an entangled
-  environment (five-qubit pure-state computation), and
-* the entangled-helper quantities for the fractional-swap family,
-  including closed-form output states.
+  environment (five-qubit pure-state computation, stacked over gate
+  pairs), and
+* the entangled-helper capacity of the fractional swaps, maximized over
+  a closed-form objective.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    BipartiteUnitary,
-    KrausChannel,
-    as_two_qubit,
-    effective_channel,
-    entangled_env_channel,
-)
+from .channels import BipartiteUnitary, KrausChannel, as_two_qubit, effective_channel
 from .degradability import (
     SYMMETRIC_TOL,
     batch_degradability_index,
@@ -42,7 +37,6 @@ from .linalg import (
     bloch_density,
     bloch_state,
     check_density_matrix,
-    check_state_vector,
     eigh2,
     eigvals2,
     entropy,
@@ -108,11 +102,9 @@ class BracketError(ValueError):
 # coherent information
 # ---------------------------------------------------------------------------
 
-def coherent_info(c: KrausChannel, rho, validate: bool = True) -> float:
+def coherent_info(c: KrausChannel, rho) -> float:
     """S(N(rho)) - S(N~(rho)) in bits."""
-    if validate:
-        rho = check_density_matrix(rho)
-    return float(_coherent_info(np.stack(c.kraus), np.asarray(rho, dtype=complex)))
+    return float(_coherent_info(np.stack(c.kraus), check_density_matrix(rho)))
 
 
 def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
@@ -462,62 +454,26 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
 # two parallel gates on an entangled environment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoCopySpec:
-    """Wiring for two gates run side by side with shared environment.
+def two_copy_curve(w, v, theta: float | None = None):
+    """S(B'B) - S(F'F) of gate matrices w, v (..., 4, 4) run side by side,
+    broadcast together and taken as given: an array of their leading
+    shape, a scalar for one pair.
 
-    ``w`` acts on the primed pair (A', E'), ``v`` on (A, E); a reference
-    qubit R purifies the input.  ``env_state`` lives on E' (x) E,
-    ``input_state`` on A (x) R, ``aprime_state`` on A'.
+    ``w`` acts on the primed pair (A', E'), ``v`` on (A, E), and a
+    reference qubit R purifies the input.  The inputs are |0> on A' and
+    maximally entangled pairs on E'E and AR; at ``theta``, |1> on A', the
+    pair on E'E, and sqrt(theta)|00> + sqrt(1-theta)|11> on AR.  The
+    global state is (W (x) V (x) I_R) applied to them, with wires ordered
+    A', E', A, E, R at the input and B', F', B, F, R at the output.
     """
-
-    w: BipartiteUnitary
-    v: BipartiteUnitary
-    aprime_state: np.ndarray
-    env_state: np.ndarray
-    input_state: np.ndarray
-
-    def __post_init__(self):
-        if not (self.w.is_two_qubit and self.v.is_two_qubit):
-            raise ValueError("both gates must be two-qubit unitaries")
-        object.__setattr__(self, "aprime_state", check_state_vector(self.aprime_state))
-        object.__setattr__(self, "env_state", check_state_vector(self.env_state))
-        object.__setattr__(self, "input_state", check_state_vector(self.input_state))
-        if (self.aprime_state.size, self.env_state.size, self.input_state.size) != (2, 4, 4):
-            raise ValueError("states must be one qubit (A'), two qubits (E'E), "
-                             "two qubits (AR)")
-
-
-def _two_copy_states(theta: float | None = None):
-    """(A', E'E, AR) states of :func:`standard_two_copy`, or of
-    :func:`theta_two_copy` at ``theta``."""
     if theta is None:
-        return np.array([1, 0], complex), maximally_entangled(2), maximally_entangled(2)
-    if not 0.0 <= theta <= 1.0:
+        aprime, inp = np.array([1, 0], complex), maximally_entangled(2)
+    elif 0.0 <= theta <= 1.0:
+        aprime = np.array([0, 1], complex)
+        inp = np.array([np.sqrt(theta), 0, 0, np.sqrt(1.0 - theta)], complex)
+    else:
         raise ValueError("theta must lie in [0, 1]")
-    inp = np.array([np.sqrt(theta), 0, 0, np.sqrt(1.0 - theta)], complex)
-    return np.array([0, 1], complex), maximally_entangled(2), inp
-
-
-def standard_two_copy(w, v) -> TwoCopySpec:
-    """|0> on A', maximally entangled pairs on E'E and AR."""
-    return TwoCopySpec(as_two_qubit(w), as_two_qubit(v), *_two_copy_states())
-
-
-def theta_two_copy(w, v, theta: float) -> TwoCopySpec:
-    """|1> on A', entangled environments, sqrt(theta)|00> + sqrt(1-theta)|11> on AR."""
-    return TwoCopySpec(as_two_qubit(w), as_two_qubit(v), *_two_copy_states(theta))
-
-
-def _two_copy(w, v, aprime, env, inp):
-    """S(B'B) - S(F'F) for gate matrices w, v (..., 4, 4), broadcast
-    together: an array of their leading shape, a scalar for one pair.
-
-    The global state is (W (x) V (x) I_R) applied to
-    aprime (x) env (x) input, with wires ordered A', E', A, E, R at the
-    input and B', F', B, F, R at the output.
-    """
-    psi = np.kron(np.kron(aprime, env), inp)
+    psi = np.kron(np.kron(aprime, maximally_entangled(2)), inp)
     # input factors arrive as A', E', E, A, R; the gates act on (A',E'), (A,E)
     psi = psi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(32)
 
@@ -533,19 +489,6 @@ def _two_copy(w, v, aprime, env, inp):
     w, v = np.broadcast_arrays(np.asarray(w, complex), np.asarray(v, complex))
     vals = in_chunks(stack, _TWO_COPY_CHUNK, w.reshape(-1, 4, 4), v.reshape(-1, 4, 4))
     return vals.reshape(w.shape[:-2])[()]
-
-
-def two_copy_coherent_info(spec: TwoCopySpec) -> float:
-    """S(B'B) - S(F'F) of the five-qubit output state of ``spec``."""
-    return float(_two_copy(spec.w.matrix, spec.v.matrix, spec.aprime_state,
-                           spec.env_state, spec.input_state))
-
-
-def two_copy_curve(w, v, theta: float | None = None):
-    """:func:`two_copy_coherent_info` over gate matrices w, v (..., 4, 4),
-    broadcast together and taken as given, wired as :func:`standard_two_copy`
-    or as :func:`theta_two_copy` at ``theta``."""
-    return _two_copy(w, v, *_two_copy_states(theta))
 
 
 def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
@@ -584,11 +527,6 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
 # entangled helper
 # ---------------------------------------------------------------------------
 
-def entangled_helper_coherent_info(v, kappa, rho, dim_h: int | None = None) -> float:
-    """Coherent information of the channel A -> B (x) H at input rho."""
-    return coherent_info(entangled_env_channel(v, kappa, dim_h), rho)
-
-
 def _helper_terms(gamma, lam, mu):
     """Closed-form entries of the entangled-helper outputs: the diagonal of
     rho_hb, its |00><11| coherence as root * z, and the diagonal of rho_f."""
@@ -604,23 +542,6 @@ def _helper_terms(gamma, lam, mu):
     f0 = lam * mu + lam * (1 - mu) * stay + mu * (1 - lam) * hop
     f1 = (1 - lam) * (1 - mu) + lam * (1 - mu) * hop + mu * (1 - lam) * stay
     return (p00, p01, p10, p11), root, z, (f0, f1)
-
-
-def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
-    """Closed-form output states of the fractional swap with an entangled
-    helper.
-
-    The helper state is sqrt(lam)|00> + sqrt(1-lam)|11> on E (x) H and
-    the input is diag(mu, 1-mu).  Returns (rho_hb, rho_f): the receiver
-    state on H (x) B (helper slot first) and the diagonal environment
-    state on F.
-    """
-    if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
-        raise ValueError("lam and mu must lie in [0, 1]")
-    diag_hb, root, z, diag_f = _helper_terms(gamma, lam, mu)
-    rho_hb = np.diag(diag_hb).astype(complex)
-    rho_hb[0, 3], rho_hb[3, 0] = root * z, root * np.conj(z)
-    return rho_hb, np.diag(diag_f).astype(complex)
 
 
 def _helper_objective(gamma, lam, mu):

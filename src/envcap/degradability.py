@@ -1,15 +1,10 @@
 """Degradable / anti-degradable classification of induced qubit channels.
 
-Two independent criteria are implemented:
-
-* the determinant criterion det(2 K0^dag K0 - I) on the leading Kraus
-  operator of the normal form (sign > 0 degradable, < 0 anti-degradable,
-  = 0 symmetric), and
-* the Choi-spectrum criterion lambda_max(rho_RB) <= lambda_max(rho_B)
-  for anti-degradability of qubit channels with a qubit environment.
-
-A vectorized version of the determinant index over grids of pure
-environment states backs the universal (all-eta) scans.
+The criterion is the determinant det(2 K0^dag K0 - I) on the leading
+Kraus operator of the normal form: sign > 0 degradable, < 0
+anti-degradable, = 0 symmetric.  A closed-form version of the index
+over grids of pure environment states backs the universal (all-eta)
+scans.
 """
 
 from __future__ import annotations
@@ -20,23 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    KRAUS_WEIGHT_FLOOR,
-    KrausChannel,
-    as_two_qubit,
-    channel_reduction_b,
-    choi_state,
-    kraus_normal_form,
-    normal_form_stack,
-)
+from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, normal_form_stack
 from .linalg import bloch_state, check_state_vector, eigh2, in_chunks
 
 #: |index| at or below this classifies as symmetric.  The index is a
 #: determinant of exactly representable 2x2 products; its noise floor is
 #: around 1e-13.
 SYMMETRIC_TOL = 1e-9
-
-CHOI_COMPARE_TOL = 1e-10
 
 #: States per stacked normal-form evaluation in :func:`classify_envs`.
 _CLASSIFY_CHUNK = 1024
@@ -70,33 +55,13 @@ def degradability_index(v, eta) -> float:
     return float(_normal_form_index(v, check_state_vector(eta)[None])[0])
 
 
-def classify_envs(v, etas: np.ndarray, tol: float = SYMMETRIC_TOL) -> list[Classification]:
-    """:func:`classify_env` over a stack of pure environment states (n, 2)."""
+def classify_envs(v, etas: np.ndarray) -> list[Classification]:
+    """Classify the channels induced by pure environment states (n, 2) by
+    :func:`degradability_index`; ``|index| <= SYMMETRIC_TOL`` is symmetric."""
     index = in_chunks(lambda e: _normal_form_index(v, e), _CLASSIFY_CHUNK, np.asarray(etas))
-    return [Classification(Degradability.SYMMETRIC if abs(i) <= tol else Degradability.DEGRADABLE
-                           if i > 0 else Degradability.ANTI_DEGRADABLE, i) for i in index.tolist()]
-
-
-def classify_env(v, eta, tol: float = SYMMETRIC_TOL) -> Classification:
-    """Classify the channel induced by ``eta`` on the environment."""
-    return classify_envs(v, check_state_vector(eta)[None], tol)[0]
-
-
-def is_antidegradable_choi(c: KrausChannel, tol: float = CHOI_COMPARE_TOL) -> bool:
-    """Choi-spectrum anti-degradability test for qubit channels.
-
-    Requires dim_in = dim_out = 2 and a qubit environment (at most two
-    Kraus operators after normal form); raises otherwise.
-    """
-    if c.dim_in != 2 or c.dim_out != 2:
-        raise ValueError("Choi criterion applies to qubit-to-qubit channels")
-    nf = kraus_normal_form(c)
-    if len(nf) > 2:
-        raise ValueError(
-            f"environment rank {len(nf)} > 2: Choi criterion inapplicable")
-    lmax_rb = float(np.linalg.eigvalsh(choi_state(nf)).max())
-    lmax_b = float(np.linalg.eigvalsh(channel_reduction_b(nf)).max())
-    return lmax_rb <= lmax_b + tol
+    return [Classification(Degradability.SYMMETRIC if abs(i) <= SYMMETRIC_TOL
+                           else Degradability.DEGRADABLE if i > 0
+                           else Degradability.ANTI_DEGRADABLE, i) for i in index.tolist()]
 
 
 def bloch_sphere_grid(n_theta: int, n_phi: int | None = None):
@@ -149,11 +114,11 @@ def _sphere_states(grid: int) -> np.ndarray:
     return bloch_sphere_grid(grid, grid)[0]
 
 
-def is_universally_antidegradable(v, grid: int = 64, tol: float = SYMMETRIC_TOL) -> bool:
+def is_universally_antidegradable(v, grid: int = 64) -> bool:
     """Whether every grid point of pure environment states classifies as
     anti-degradable or symmetric.
 
     Symmetric points are consistent with universal anti-degradability
     (the defining inequality is non-strict).
     """
-    return bool((batch_degradability_index(v, _sphere_states(grid)) <= tol).all())
+    return bool((batch_degradability_index(v, _sphere_states(grid)) <= SYMMETRIC_TOL).all())

@@ -71,14 +71,6 @@ def check_density_matrix(rho, herm_tol: float = HERM_TOL,
     return rho
 
 
-def tensor(a, b, *rest) -> np.ndarray:
-    """Kronecker product of two or more matrices (or vectors)."""
-    out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    for m in rest:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
-
-
 def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     """Trace out all subsystems of ``m`` except those listed in ``keep``.
 
@@ -108,15 +100,6 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
         d = int(np.prod(cur_dims)) if cur_dims else 1
         cur = cur.reshape(lead + (d, d))
     return cur
-
-
-def herm_eigvals(h, tol: float = 1e-9) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    h = as_complex_matrix(h)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e}")
-    return np.linalg.eigvalsh(h)
 
 
 def _eig2_terms(m):
@@ -186,26 +169,10 @@ def entropy(rho, validate: bool = True):
     return entropy_from_eigvals(np.linalg.eigvalsh(rho))
 
 
-def binary_entropy(x: float) -> float:
-    """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
-    out = 0.0
-    if x > ENTROPY_EIG_FLOOR:
-        out -= x * np.log2(x)
-    if 1.0 - x > ENTROPY_EIG_FLOOR:
-        out -= (1.0 - x) * np.log2(1.0 - x)
-    return float(out)
-
-
 def projector(psi) -> np.ndarray:
     """|psi><psi| for state vectors over the last axis of ``psi``."""
     psi = np.asarray(psi, dtype=complex)
     return psi[..., :, None] * psi.conj()[..., None, :]
-
-
-def maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
 
 
 def maximally_entangled(dim: int) -> np.ndarray:
@@ -241,15 +208,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

@@ -1,9 +1,23 @@
 """Reference computations used only by the tests.
 
 They are slow, independent routes to numbers the library computes in
-closed form, kept here so the tests can check one against the other,
-and one-at-a-time versions of the stacked kernels, whose arithmetic the
-kernels must reproduce bit for bit.
+closed form, kept here so the tests can check one against the other;
+one-at-a-time versions of the stacked kernels, whose arithmetic the
+kernels must reproduce bit for bit; and the reference channels and
+helpers that only tests need:
+
+* states and products: :func:`tensor`, :func:`binary_entropy`,
+  :func:`maximally_mixed`, :func:`random_pure_state`,
+  :func:`random_density_matrix`;
+* channels of a two-qubit gate besides the effective one: the channel
+  into the environment (:func:`complementary_channel`), the channel to
+  the receiver and an entangled helper (:func:`entangled_env_channel`),
+  and the closed-form helper outputs of the fractional swap
+  (:func:`swap_power_helper_outputs`);
+* Kraus-list operations: :func:`apply_channel`,
+  :func:`complement_channel`, :func:`choi_state`,
+  :func:`channel_reduction_b`, and the Choi-spectrum
+  anti-degradability criterion (:func:`is_antidegradable_choi`).
 """
 
 from __future__ import annotations
@@ -17,10 +31,166 @@ from envcap.canonical import (
     fold_to_fundamental,
     in_antidegradable_region,
 )
-from envcap.capacity import TwoCopySpec, _jammer_affine, _jammer_ic, _maximize
-from envcap.channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, effective_channel
+from envcap.capacity import _helper_terms, _jammer_affine, _jammer_ic, _maximize, coherent_info
+from envcap.channels import (
+    KRAUS_WEIGHT_FLOOR,
+    KrausChannel,
+    as_two_qubit,
+    effective_channel,
+    normal_form_stack,
+)
 from envcap.experiments import B2_THETAS, b2_curve
-from envcap.linalg import bloch_density, entropy, partial_trace
+from envcap.linalg import (
+    ENTROPY_EIG_FLOOR,
+    as_complex_matrix,
+    bloch_density,
+    check_state_vector,
+    entropy,
+    maximally_entangled,
+    partial_trace,
+    projector,
+)
+
+
+# -- states and products -------------------------------------------------
+
+
+def tensor(a, b, *rest) -> np.ndarray:
+    """Kronecker product of two or more matrices (or vectors)."""
+    out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    for m in rest:
+        out = np.kron(out, np.asarray(m, dtype=complex))
+    return out
+
+
+def binary_entropy(x: float) -> float:
+    """H2(x) = -x log2 x - (1-x) log2(1-x), with H2(0) = H2(1) = 0."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
+    return float(sum(-p * np.log2(p) for p in (x, 1.0 - x) if p > ENTROPY_EIG_FLOOR))
+
+
+def maximally_mixed(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex) / dim
+
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    rank = dim if rank is None else rank
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+# -- reference channels --------------------------------------------------
+
+
+def complementary_channel(v, eta) -> KrausChannel:
+    """Channel A -> F leaking into the environment output, for pure ``eta``.
+
+    Mixed environment states are rejected: with a mixed eta this
+    construction no longer complements the effective channel.
+    """
+    v = as_two_qubit(v)
+    eta = np.asarray(eta, dtype=complex)
+    if eta.ndim != 1:
+        raise ValueError("complementary_channel requires a pure environment state")
+    k = np.einsum("bfae,e->bfa", v.matrix.reshape(2, 2, 2, 2), check_state_vector(eta))
+    return KrausChannel(tuple(k), dim_in=2, dim_out=2)
+
+
+def entangled_env_channel(v, kappa, dim_h: int | None = None) -> KrausChannel:
+    """Channel A -> B (x) H from an environment entangled with a helper H.
+
+    ``kappa`` is a pure state on E (x) H.  The output orders B before H.
+    """
+    v = as_two_qubit(v)
+    kappa = check_state_vector(kappa)
+    dim_h = kappa.shape[0] // 2 if dim_h is None else dim_h
+    if kappa.shape[0] != 2 * dim_h:
+        raise ValueError(f"kappa dimension {kappa.shape[0]} != 2 * dim_h = {2 * dim_h}")
+    m = np.einsum("bfae,eh->fbha", v.matrix.reshape(2, 2, 2, 2), kappa.reshape(2, dim_h))
+    return KrausChannel(tuple(m.reshape(2, 2 * dim_h, 2)), dim_in=2, dim_out=2 * dim_h)
+
+
+def entangled_helper_coherent_info(v, kappa, rho, dim_h: int | None = None) -> float:
+    """Coherent information of the channel A -> B (x) H at input rho."""
+    return coherent_info(entangled_env_channel(v, kappa, dim_h), rho)
+
+
+def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
+    """Closed-form output states of the fractional swap with an entangled
+    helper.
+
+    The helper state is sqrt(lam)|00> + sqrt(1-lam)|11> on E (x) H and
+    the input is diag(mu, 1-mu).  Returns (rho_hb, rho_f): the receiver
+    state on H (x) B (helper slot first) and the diagonal environment
+    state on F.
+    """
+    if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
+        raise ValueError("lam and mu must lie in [0, 1]")
+    diag_hb, root, z, diag_f = _helper_terms(gamma, lam, mu)
+    rho_hb = np.diag(diag_hb).astype(complex)
+    rho_hb[0, 3], rho_hb[3, 0] = root * z, root * np.conj(z)
+    return rho_hb, np.diag(diag_f).astype(complex)
+
+
+def apply_channel(c: KrausChannel, rho) -> np.ndarray:
+    """Channel output sum_i K_i rho K_i^dag."""
+    rho = as_complex_matrix(rho)
+    if rho.shape != (c.dim_in, c.dim_in):
+        raise ValueError(f"input shape {rho.shape} != channel input dim {c.dim_in}")
+    return sum(k @ rho @ k.conj().T for k in c.kraus)
+
+
+def complement_channel(c: KrausChannel) -> KrausChannel:
+    """Complementary channel from the canonical dilation of the Kraus list.
+
+    The dilation W|psi> = sum_i (K_i|psi>) (x) |i> fixes the environment
+    basis; the complement maps A into that index space.
+    """
+    stack = np.stack(c.kraus)  # (k, out, in)
+    return KrausChannel(tuple(stack.swapaxes(0, 1)), dim_in=c.dim_in, dim_out=len(c.kraus))
+
+
+def choi_state(c: KrausChannel) -> np.ndarray:
+    """Choi state (id (x) c)(|Phi><Phi|) on R (x) B, unit trace."""
+    d = c.dim_in
+    # (I_R (x) K) |Phi> for each Kraus operator (R-major), summed as a mixture
+    vecs = (np.stack(c.kraus) @ maximally_entangled(d).reshape(d, d).T).swapaxes(-1, -2)
+    return projector(vecs.reshape(len(c.kraus), -1)).sum(0)
+
+
+def channel_reduction_b(c: KrausChannel) -> np.ndarray:
+    """B-side reduction of the Choi state, i.e. c applied to I/d."""
+    return partial_trace(choi_state(c), (c.dim_in, c.dim_out), keep=1)
+
+
+def is_antidegradable_choi(c: KrausChannel, tol: float = 1e-10) -> bool:
+    """Choi-spectrum anti-degradability test for qubit channels:
+    lambda_max(rho_RB) <= lambda_max(rho_B).
+
+    Requires dim_in = dim_out = 2 and a qubit environment (at most two
+    Kraus operators above the weight floor after normal form); raises
+    otherwise.
+    """
+    if c.dim_in != 2 or c.dim_out != 2:
+        raise ValueError("Choi criterion applies to qubit-to-qubit channels")
+    ops, weights = normal_form_stack(np.stack(c.kraus))
+    rank = int((weights > KRAUS_WEIGHT_FLOOR).sum())
+    if rank > 2:
+        raise ValueError(f"environment rank {rank} > 2: Choi criterion inapplicable")
+    nf = KrausChannel(tuple(ops[:rank]), dim_in=2, dim_out=2)
+    lmax_rb = float(np.linalg.eigvalsh(choi_state(nf)).max())
+    lmax_b = float(np.linalg.eigvalsh(channel_reduction_b(nf)).max())
+    return lmax_rb <= lmax_b + tol
+
+
+# -- searches and one-at-a-time kernels ----------------------------------
 
 
 def _clip_ball(x: np.ndarray) -> np.ndarray:
@@ -124,13 +294,26 @@ def degradability_index_by_list(v, eta) -> float:
     return float(np.linalg.det(2 * p - np.eye(2)).real)
 
 
-def two_copy_by_kron(spec: TwoCopySpec) -> float:
-    """S(B'B) - S(F'F) of one gate pair through explicit Kronecker products."""
-    psi = np.kron(np.kron(spec.aprime_state, spec.env_state), spec.input_state)
+def two_copy_output(w, v, theta: float | None = None) -> np.ndarray:
+    """Five-qubit output state on B', F', B, F, R of the gate matrices w, v
+    run side by side, through explicit Kronecker products: |0> on A' and
+    maximally entangled pairs on E'E and AR, or at ``theta`` |1> on A' and
+    sqrt(theta)|00> + sqrt(1-theta)|11> on AR."""
+    if theta is None:
+        aprime, inp = np.array([1, 0], complex), maximally_entangled(2)
+    else:
+        aprime = np.array([0, 1], complex)
+        inp = np.array([np.sqrt(theta), 0, 0, np.sqrt(1.0 - theta)], complex)
+    psi = np.kron(np.kron(aprime, maximally_entangled(2)), inp)
+    # wires A', E', E, A, R -> A', E', A, E, R
     psi = psi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(32)
-    g = np.kron(np.kron(spec.w.matrix, spec.v.matrix), np.eye(2, dtype=complex))
-    phi = g @ psi
-    out = np.outer(phi, phi.conj())
+    phi = np.kron(np.kron(w, v), np.eye(2, dtype=complex)) @ psi
+    return np.outer(phi, phi.conj())
+
+
+def two_copy_by_kron(w, v, theta: float | None = None) -> float:
+    """S(B'B) - S(F'F) of :func:`two_copy_output`."""
+    out = two_copy_output(w, v, theta)
     rho_bb = partial_trace(out, (2,) * 5, keep=(0, 2))
     rho_ff = partial_trace(out, (2,) * 5, keep=(1, 3))
     return entropy(rho_bb, validate=False) - entropy(rho_ff, validate=False)

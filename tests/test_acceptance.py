@@ -7,7 +7,6 @@ report.  Criteria with runtime budgets assert them with a monotonic clock.
 import time
 
 import numpy as np
-import pytest
 
 from envcap.canonical import (
     CNOT,
@@ -21,37 +20,23 @@ from envcap.canonical import (
 from envcap.capacity import (
     OptimizerOptions,
     coherent_info,
+    max_coherent_info,
     separable_helper_capacity,
-    standard_two_copy,
-    two_copy_coherent_info,
+    two_copy_curve,
 )
-from envcap.channels import (
-    choi_state,
-    complement_channel,
-    effective_channel,
-    kraus_normal_form,
-    tensor_gates,
-    BipartiteUnitary,
-    apply_channel,
-)
+from envcap.channels import KrausChannel, effective_channel, normal_form_stack
 from envcap.cli import main
-from envcap.degradability import (
-    degradability_index,
+from envcap.degradability import degradability_index, is_universally_antidegradable
+from envcap.linalg import haar_unitary, maximally_entangled, partial_trace, projector
+from oracles import (
+    choi_state,
+    entangled_helper_coherent_info,
     is_antidegradable_choi,
-    is_universally_antidegradable,
-)
-from envcap.linalg import (
-    entropy,
-    haar_unitary,
-    maximally_entangled,
     maximally_mixed,
-    partial_trace,
-    projector,
     random_density_matrix,
     random_pure_state,
     tensor,
 )
-from envcap.capacity import entangled_helper_coherent_info
 
 PI = np.pi
 
@@ -92,7 +77,7 @@ def test_criterion_3_swap_edge_closed_form():
         e3 = (1 + np.cos(PI * gamma)) / 8
         expected = -(e1 * np.log2(e1) + 3 * e3 * np.log2(e3)) - 1.0
         w = canonical_unitary((PI / 2, PI / 2, 0.0))
-        got = two_copy_coherent_info(standard_two_copy(w, swap_power(gamma)))
+        got = two_copy_curve(w.matrix, swap_power(gamma).matrix)
         worst = max(worst, abs(got - expected))
     report(3, f"two-copy path matches eigenvalue formula, worst dev {worst:.2e} <= 1e-9",
            worst <= 1e-9)
@@ -174,20 +159,18 @@ def test_criterion_8_symmetric_gate():
 
 def test_criterion_9_superactivation():
     opts = OptimizerOptions()
+    mid_edge = canonical_unitary((PI / 4 + PI / 8, PI / 4 + PI / 8, PI / 4 - PI / 8)).matrix
     cases = {
         "swap-edge at gamma=0.55": (
-            canonical_unitary((PI / 2, PI / 2, 0.0)), swap_power(0.55)),
+            canonical_unitary((PI / 2, PI / 2, 0.0)).matrix, swap_power(0.55).matrix),
         "swap with mid-edge gate": (
-            BipartiteUnitary(SWAP),
-            canonical_unitary((PI / 4 + PI / 8, PI / 4, PI / 4))),
-        "self-pairing mid-edge": (
-            canonical_unitary((PI / 4 + PI / 8, PI / 4 + PI / 8, PI / 4 - PI / 8)),
-            canonical_unitary((PI / 4 + PI / 8, PI / 4 + PI / 8, PI / 4 - PI / 8))),
+            SWAP, canonical_unitary((PI / 4 + PI / 8, PI / 4, PI / 4)).matrix),
+        "self-pairing mid-edge": (mid_edge, mid_edge),
     }
     ok = True
     details = []
     for name, (w, v) in cases.items():
-        joint = two_copy_coherent_info(standard_two_copy(w, v))
+        joint = two_copy_curve(w, v)
         qw = separable_helper_capacity(w, opts).value
         qv = separable_helper_capacity(v, opts).value
         good = joint > 1e-3 and qw <= 1e-6 and qv <= 1e-6
@@ -224,7 +207,6 @@ def test_criterion_10_property_suites():
     checks.append(("degradable concavity", concave))
 
     # anti-degradable channels never optimize above zero
-    from envcap.capacity import max_coherent_info
     fast = OptimizerOptions(restarts=4, max_iters=300)
     adequate = True
     tested = 0
@@ -250,11 +232,11 @@ def test_criterion_10_property_suites():
     ortho = True
     for _ in range(20):
         ch = effective_channel(haar_unitary(4, rng), random_pure_state(2, rng))
-        nf = kraus_normal_form(ch)
-        for i in range(len(nf)):
-            for j in range(i + 1, len(nf)):
-                ortho = ortho and abs(
-                    np.trace(nf.kraus[i].conj().T @ nf.kraus[j])) <= 1e-10
+        ops, _ = normal_form_stack(np.stack(ch.kraus))
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                ortho = ortho and abs(np.trace(ops[i].conj().T @ ops[j])) <= 1e-10
+        nf = KrausChannel(tuple(ops), dim_in=2, dim_out=2)
         ortho = ortho and np.abs(choi_state(nf) - choi_state(ch)).max() <= 1e-10
     checks.append(("Gram orthogonality", ortho))
 
@@ -274,8 +256,8 @@ def test_criterion_10_property_suites():
     # entanglement to the receiver
     consistent = True
     for _ in range(10):
-        g = BipartiteUnitary(haar_unitary(4, rng))
-        lhs = two_copy_coherent_info(standard_two_copy(SWAP, g))
+        g = haar_unitary(4, rng)
+        lhs = two_copy_curve(SWAP, g)
         rhs = entangled_helper_coherent_info(g, maximally_entangled(2),
                                              maximally_mixed(2))
         consistent = consistent and abs(lhs - rhs) <= 1e-9

@@ -4,6 +4,7 @@ import pytest
 from envcap.canonical import (
     CNOT,
     DCNOT,
+    MAGIC,
     SWAP,
     canonical_matrix,
     canonical_unitary,
@@ -12,12 +13,11 @@ from envcap.canonical import (
     half_phases,
     in_antidegradable_region,
     in_degradable_region,
-    magic_basis,
     swap_power,
     swap_power_matrix,
 )
-from envcap.linalg import haar_unitary, tensor
-from oracles import in_degradable_region_by_swap, region_points, same_bits
+from envcap.linalg import haar_unitary
+from oracles import in_degradable_region_by_swap, region_points, same_bits, tensor
 
 PI = np.pi
 
@@ -34,7 +34,7 @@ def random_tetrahedron_point(rng):
 
 class TestMagicBasis:
     def test_listed_vectors(self):
-        vs = magic_basis()
+        vs = MAGIC.T
         s2 = 1 / np.sqrt(2)
         assert np.abs(vs[0] - np.array([s2, 0, 0, s2])).max() < 1e-15
         assert np.abs(vs[1] - np.array([-1j * s2, 0, 0, 1j * s2])).max() < 1e-15
@@ -42,7 +42,7 @@ class TestMagicBasis:
         assert np.abs(vs[3] - np.array([0, -1j * s2, -1j * s2, 0])).max() < 1e-15
 
     def test_orthonormal(self):
-        vs = magic_basis()
+        vs = MAGIC.T
         gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
         assert np.abs(gram - np.eye(4)).max() < 1e-15
 

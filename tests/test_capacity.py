@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, swap_power
-from envcap.channels import (
-    BipartiteUnitary,
-    KrausChannel,
-    apply_channel,
-    effective_channel,
-    entangled_env_channel,
-)
+from envcap.channels import BipartiteUnitary, KrausChannel, effective_channel
 from envcap import capacity
 from envcap.capacity import (
     BracketError,
@@ -21,33 +15,36 @@ from envcap.capacity import (
     _jammer_ic,
     OptimizerOptions,
     coherent_info,
-    entangled_helper_coherent_info,
     find_zero_crossing,
     jammer_value,
     max_coherent_info,
     separable_helper_capacity,
-    standard_two_copy,
     swap_power_helper_capacity,
-    swap_power_helper_outputs,
-    theta_two_copy,
-    two_copy_coherent_info,
+    two_copy_curve,
 )
-from envcap.degradability import Degradability, classify_env
+from envcap.degradability import Degradability, classify_envs
 from envcap.experiments import A3_FAMILIES
 from envcap.linalg import (
-    binary_entropy,
     bloch_density,
     check_density_matrix,
     entropy,
     haar_unitary,
     maximally_entangled,
-    maximally_mixed,
+    partial_trace,
     projector,
+)
+from oracles import (
+    apply_channel,
+    entangled_env_channel,
+    entangled_helper_coherent_info,
+    jammer_search,
+    maximally_mixed,
     random_density_matrix,
     random_pure_state,
+    swap_power_helper_outputs,
     tensor,
+    two_copy_output,
 )
-from oracles import jammer_search
 
 PI = np.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -127,7 +124,7 @@ class TestMaxCoherentInfo:
         while checked < 50:
             v = haar_unitary(4, rng)
             eta = random_pure_state(2, rng)
-            if classify_env(v, eta).tag is not Degradability.DEGRADABLE:
+            if classify_envs(v, eta[None])[0].tag is not Degradability.DEGRADABLE:
                 continue
             ch = effective_channel(v, eta)
             r1 = random_density_matrix(2, rng)
@@ -143,7 +140,7 @@ class TestMaxCoherentInfo:
         while checked < 10:
             v = haar_unitary(4, rng)
             eta = random_pure_state(2, rng)
-            if classify_env(v, eta).tag is not Degradability.ANTI_DEGRADABLE:
+            if classify_envs(v, eta[None])[0].tag is not Degradability.ANTI_DEGRADABLE:
                 continue
             res = max_coherent_info(effective_channel(v, eta), FAST_OPTS)
             assert res.value <= 1e-6
@@ -409,35 +406,31 @@ class TestTwoCopy:
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
     def test_swap_edge_family_closed_form(self, gamma, t):
         w = canonical_unitary((PI / 2, PI / 2, t * PI / 2))
-        got = two_copy_coherent_info(standard_two_copy(w, swap_power(gamma)))
+        got = two_copy_curve(w.matrix, swap_power(gamma).matrix)
         assert got == pytest.approx(a1_eigenvalue_formula(gamma), abs=1e-9)
 
     def test_environment_output_structure(self):
         w = canonical_unitary((PI / 2, PI / 2, 0.35 * PI / 2))
-        spec = standard_two_copy(w, swap_power(0.7))
-        psi = np.kron(np.kron(spec.aprime_state, spec.env_state), spec.input_state)
-        psi = psi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(32)
-        g = np.kron(np.kron(spec.w.matrix, spec.v.matrix), np.eye(2))
-        from envcap.linalg import partial_trace
-        rho_ff = partial_trace(projector(g @ psi), (2,) * 5, keep=(1, 3))
+        out = two_copy_output(w.matrix, swap_power(0.7).matrix)
+        rho_ff = partial_trace(out, (2,) * 5, keep=(1, 3))
         expected = tensor(projector(KET0), maximally_mixed(2))
         assert np.abs(rho_ff - expected).max() < 1e-10
 
     def test_sqrt_swap_self_pairing_vanishes(self):
         g = canonical_unitary((PI / 4, PI / 4, PI / 4))
-        assert abs(two_copy_coherent_info(standard_two_copy(g, g))) < 1e-9
+        assert abs(two_copy_curve(g.matrix, g.matrix)) < 1e-9
 
     def test_frozen_positive_values(self):
         # golden fixtures computed by this five-qubit path and
         # cross-checked against the closed-form spectra where available
         w = canonical_unitary((PI / 2, PI / 2, 0.0))
-        assert two_copy_coherent_info(standard_two_copy(w, swap_power(0.55))) == (
+        assert two_copy_curve(w.matrix, swap_power(0.55).matrix) == (
             pytest.approx(0.40173599778915814, abs=1e-10))
         v = canonical_unitary((PI / 4 + PI / 8, PI / 4, PI / 4))
-        assert two_copy_coherent_info(standard_two_copy(SWAP, v)) == (
+        assert two_copy_curve(SWAP, v.matrix) == (
             pytest.approx(0.3200086998669489, abs=1e-10))
         g = canonical_unitary((PI / 4 + PI / 8, PI / 4 + PI / 8, PI / 4 - PI / 8))
-        assert two_copy_coherent_info(standard_two_copy(g, g)) == (
+        assert two_copy_curve(g.matrix, g.matrix) == (
             pytest.approx(0.10889606751172232, abs=1e-10))
 
     def test_theta_family_positive_slices(self):
@@ -445,7 +438,7 @@ class TestTwoCopy:
         for theta, expected in ((0.5, 0.0634534988903066),
                                 (2 ** -6, 0.024322369533690602),
                                 (2 ** -10, 0.0030800722084326493)):
-            got = two_copy_coherent_info(theta_two_copy(g, g, theta))
+            got = two_copy_curve(g.matrix, g.matrix, theta)
             assert got == pytest.approx(expected, abs=1e-10)
             assert got > 1e-3
 
@@ -457,7 +450,7 @@ class TestTwoCopy:
         rng = np.random.default_rng(77)
         for _ in range(5):
             g = BipartiteUnitary(haar_unitary(4, rng))
-            lhs = two_copy_coherent_info(standard_two_copy(SWAP, g))
+            lhs = two_copy_curve(SWAP, g.matrix)
             rhs = entangled_helper_coherent_info(
                 g, maximally_entangled(2), maximally_mixed(2))
             assert abs(lhs - rhs) < 1e-9
@@ -472,7 +465,7 @@ class TestZeroCrossing:
         w = canonical_unitary((PI / 2, PI / 2, 0.0))
 
         def f(g):
-            return two_copy_coherent_info(standard_two_copy(w, swap_power(g)))
+            return two_copy_curve(w.matrix, swap_power(g).matrix)
 
         root = find_zero_crossing(f, 0.5, 1.0, 1e-6)
         assert root == pytest.approx(0.6649, abs=5e-4)
@@ -481,7 +474,7 @@ class TestZeroCrossing:
         root_closed = find_zero_crossing(a1_eigenvalue_formula, 0.5, 1.0, 1e-8)
         w = canonical_unitary((PI / 2, PI / 2, 0.0))
         root_path = find_zero_crossing(
-            lambda g: two_copy_coherent_info(standard_two_copy(w, swap_power(g))),
+            lambda g: two_copy_curve(w.matrix, swap_power(g).matrix),
             0.5, 1.0, 1e-8)
         assert abs(root_closed - root_path) < 1e-6
 

@@ -1,34 +1,31 @@
 import numpy as np
 import pytest
 
-from envcap.canonical import SWAP, canonical_unitary, swap_power
+from envcap.canonical import SWAP, swap_power
+from envcap import channels
 from envcap.channels import (
+    KRAUS_WEIGHT_FLOOR,
     BipartiteUnitary,
     KrausChannel,
-    apply_channel,
     as_two_qubit,
+    effective_channel,
+    normal_form_stack,
+)
+from envcap.linalg import entropy, haar_unitary, maximally_entangled, partial_trace, projector
+from oracles import (
+    apply_channel,
     channel_reduction_b,
     choi_state,
     complement_channel,
     complementary_channel,
-    effective_channel,
     entangled_env_channel,
-    kraus_normal_form,
-    normal_form_stack,
-    tensor_gates,
-)
-from envcap.linalg import (
-    entropy,
-    haar_unitary,
-    maximally_entangled,
+    kraus_normal_form_by_list,
     maximally_mixed,
-    partial_trace,
-    projector,
     random_density_matrix,
     random_pure_state,
+    same_bits,
     tensor,
 )
-from oracles import kraus_normal_form_by_list, same_bits
 
 KET0 = np.array([1, 0], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -42,21 +39,39 @@ def random_two_kraus_qubit_channel(rng):
     return effective_channel(v, random_pure_state(2, rng))
 
 
+def normal_form(c: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
+    """:func:`normal_form_stack` of one channel, as a channel, and its weights."""
+    ops, weights = normal_form_stack(np.stack(c.kraus))
+    return KrausChannel(tuple(ops), dim_in=c.dim_in, dim_out=c.dim_out), weights
+
+
 class TestAsTwoQubit:
     def test_wraps_raw_matrix_and_passes_gates_through(self):
         g = as_two_qubit(CNOT_M)
-        assert isinstance(g, BipartiteUnitary) and g.is_two_qubit
+        assert isinstance(g, BipartiteUnitary)
         assert np.array_equal(g.matrix, CNOT_M)
         assert as_two_qubit(g) is g
 
     @pytest.mark.parametrize("bad", [
-        BipartiteUnitary(np.eye(6, dtype=complex), dim_a=2, dim_e=3),
+        np.eye(6, dtype=complex),
         np.eye(8, dtype=complex),
         np.ones((4, 4), dtype=complex),
     ])
     def test_rejects_other_gates(self, bad):
         with pytest.raises(ValueError):
             as_two_qubit(bad)
+
+    def test_checks_a_raw_matrix_once_and_a_gate_never(self, monkeypatch):
+        calls = []
+
+        def counting(u):
+            calls.append(1)
+            return np.asarray(u, dtype=complex)
+
+        monkeypatch.setattr(channels, "check_unitary", counting)
+        g = as_two_qubit(CNOT_M)
+        assert len(calls) == 1
+        assert as_two_qubit(g) is g and len(calls) == 1
 
 
 class TestEffectiveChannel:
@@ -89,18 +104,6 @@ class TestEffectiveChannel:
             ch = effective_channel(v, eta)
             comp = sum(k.conj().T @ k for k in ch.kraus)
             assert np.abs(comp - np.eye(2)).max() < 1e-9
-
-    def test_product_rule(self):
-        rng = np.random.default_rng(32)
-        v1 = BipartiteUnitary(haar_unitary(4, rng))
-        v2 = BipartiteUnitary(haar_unitary(4, rng))
-        eta1, eta2 = random_pure_state(2, rng), random_pure_state(2, rng)
-        rho1, rho2 = random_density_matrix(2, rng), random_density_matrix(2, rng)
-        big = effective_channel(tensor_gates(v1, v2), tensor(eta1, eta2).reshape(-1))
-        joint = apply_channel(big, tensor(rho1, rho2))
-        split = tensor(apply_channel(effective_channel(v1, eta1), rho1),
-                       apply_channel(effective_channel(v2, eta2), rho2))
-        assert np.abs(joint - split).max() < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -179,8 +182,8 @@ class TestEntangledEnvChannel:
 class TestNormalForm:
     def test_swap_power_pair_already_normal(self):
         ch = effective_channel(swap_power(0.63), KET0)
-        nf = kraus_normal_form(ch)
-        assert len(nf) == 2
+        nf, w = normal_form(ch)
+        assert len(nf) == 2 and w[1] > KRAUS_WEIGHT_FLOOR
         gram01 = np.trace(nf.kraus[0].conj().T @ nf.kraus[1])
         assert abs(gram01) < 1e-10
         assert np.abs(choi_state(nf) - choi_state(ch)).max() < 1e-10
@@ -188,14 +191,13 @@ class TestNormalForm:
         # phases and ordering
         for got, orig in zip(nf.kraus, ch.kraus):
             assert np.abs(np.abs(got) - np.abs(orig)).max() < 1e-12
-        w = [np.trace(k.conj().T @ k).real for k in nf.kraus]
         assert w[0] >= w[1]
 
     def test_single_kraus_unchanged(self):
         rng = np.random.default_rng(40)
         u = haar_unitary(2, rng)
         ch = KrausChannel((u,), dim_in=2, dim_out=2)
-        nf = kraus_normal_form(ch)
+        nf, _ = normal_form(ch)
         assert len(nf) == 1
         assert np.abs(choi_state(nf) - choi_state(ch)).max() < 1e-12
 
@@ -203,7 +205,7 @@ class TestNormalForm:
         rng = np.random.default_rng(41)
         for _ in range(20):
             ch = random_two_kraus_qubit_channel(rng)
-            nf = kraus_normal_form(ch)
+            nf, _ = normal_form(ch)
             for i in range(len(nf)):
                 for j in range(i + 1, len(nf)):
                     assert abs(np.trace(nf.kraus[i].conj().T @ nf.kraus[j])) < 1e-10
@@ -212,17 +214,19 @@ class TestNormalForm:
     def test_idempotent_up_to_phases(self):
         rng = np.random.default_rng(42)
         ch = random_two_kraus_qubit_channel(rng)
-        once = kraus_normal_form(ch)
-        twice = kraus_normal_form(once)
+        once, _ = normal_form(ch)
+        twice, _ = normal_form(once)
         assert np.abs(choi_state(once) - choi_state(twice)).max() < 1e-10
         gram01 = np.trace(twice.kraus[0].conj().T @ twice.kraus[1])
         assert abs(gram01) < 1e-10
 
     def test_zero_operators_dropped(self):
+        # a zero operator sorts last, with a weight under the floor that drops it
         k0 = np.eye(2, dtype=complex)
         zero = np.zeros((2, 2), dtype=complex)
-        ch = KrausChannel((k0, zero), dim_in=2, dim_out=2)
-        assert len(kraus_normal_form(ch)) == 1
+        nf, w = normal_form(KrausChannel((zero, k0), dim_in=2, dim_out=2))
+        assert w[0] > KRAUS_WEIGHT_FLOOR >= w[1]
+        assert np.abs(nf.kraus[1]).max() == 0.0
 
 
 class TestNormalFormStack:
@@ -237,9 +241,8 @@ class TestNormalFormStack:
             assert ops.shape == (6, 4, 2 * n_env, 2, 2) and weights.shape == (6, 4, 2 * n_env)
             for row_ops, row_w, row in zip(ops, weights, chans):
                 for k, w, ch in zip(row_ops, row_w, row):
-                    nf = kraus_normal_form(ch)
-                    assert same_bits(k[:len(nf)], np.stack(nf.kraus))
-                    assert np.all(w[len(nf):] <= 1e-14) and np.all(w[:len(nf)] > 1e-14)
+                    nf, nf_w = normal_form(ch)
+                    assert same_bits(k, np.stack(nf.kraus)) and same_bits(w, nf_w)
                     want_ops, want_w = kraus_normal_form_by_list(ch.kraus)
                     assert same_bits(k, np.stack(want_ops)) and same_bits(w, want_w)
 
@@ -251,7 +254,7 @@ class TestNormalFormStack:
         ops, weights = normal_form_stack([[sz, sx], [sx, sz]])
         for pair in ops:
             assert np.abs(np.abs(pair[0]) - np.abs(sx)).max() < 1e-15
-        nf = kraus_normal_form(KrausChannel((sz, sx), dim_in=2, dim_out=2))
+        nf, _ = normal_form(KrausChannel((sz, sx), dim_in=2, dim_out=2))
         assert same_bits(np.stack(nf.kraus), ops[0])
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from envcap.canonical import SWAP, canonical_unitary, swap_power
-from envcap.capacity import standard_two_copy, theta_two_copy, two_copy_coherent_info
+from envcap.capacity import two_copy_curve
 from envcap.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from envcap.experiments import (
     A3_FAMILIES,
@@ -371,7 +371,7 @@ def test_pinned_csv_bytes(args, tmp_path):
 
 
 def family_gate(label, t):
-    return canonical_unitary(dict(A3_FAMILIES)[label](float(t)))
+    return canonical_unitary(dict(A3_FAMILIES)[label](float(t))).matrix
 
 
 class TestStackedCurveRows:
@@ -383,29 +383,28 @@ class TestStackedCurveRows:
         return run_experiment(ExperimentConfig(name, grid=9, **kw))[1]
 
     @staticmethod
-    def by_kron(spec):
-        return np.float64(two_copy_by_kron(spec))
+    def by_kron(w, v, theta=None):
+        return np.float64(two_copy_by_kron(w, v, theta))
 
     def test_a1(self):
         for g, t, val in self.rows("a1", params=(0.0, 0.3)):
             assert same_bits(val, a1_curve(float(g), t))
-            spec = standard_two_copy(family_gate("s", t), swap_power(float(g)))
-            assert same_bits(val, self.by_kron(spec))
-            assert same_bits(val, np.float64(two_copy_coherent_info(spec)))
+            w, v = family_gate("s", t), swap_power(float(g)).matrix
+            assert same_bits(val, self.by_kron(w, v))
+            assert same_bits(val, two_copy_curve(w, v))
 
     def test_a2_a3_b1(self):
-        sqrt_swap = canonical_unitary((np.pi / 4,) * 3)
+        sqrt_swap = canonical_unitary((np.pi / 4,) * 3).matrix
         for t, _, val in self.rows("a2"):
             assert same_bits(val, a2_curve(float(t)))
-            assert same_bits(val, self.by_kron(standard_two_copy(SWAP, family_gate("r", t))))
+            assert same_bits(val, self.by_kron(SWAP, family_gate("r", t)))
         for t, label, val in self.rows("a3"):
             assert same_bits(val, a3_curve(label, float(t)))
-            spec = standard_two_copy(family_gate(label, t), sqrt_swap)
-            assert same_bits(val, self.by_kron(spec))
+            assert same_bits(val, self.by_kron(family_gate(label, t), sqrt_swap))
         for t, _, val in self.rows("b1"):
             assert same_bits(val, b1_curve(float(t)))
             g = family_gate("p1", t)
-            assert same_bits(val, self.by_kron(standard_two_copy(g, g)))
+            assert same_bits(val, self.by_kron(g, g))
 
     def test_b2(self):
         rows = self.rows("b2")
@@ -413,7 +412,7 @@ class TestStackedCurveRows:
         for t, theta, val in rows:
             assert same_bits(val, b2_curve(float(t), theta))
             g = family_gate("q2", t)
-            assert same_bits(val, self.by_kron(theta_two_copy(g, g, theta)))
+            assert same_bits(val, self.by_kron(g, g, theta))
 
     def test_stacks_keep_their_shape(self):
         ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)

@@ -2,27 +2,27 @@ import numpy as np
 import pytest
 
 from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, swap_power
-from envcap.channels import (
-    KrausChannel,
-    complementary_channel,
-    effective_channel,
-    kraus_normal_form,
-)
+from envcap.channels import KRAUS_WEIGHT_FLOOR, KrausChannel, effective_channel, normal_form_stack
 from envcap.degradability import (
     SYMMETRIC_TOL,
     Degradability,
     batch_degradability_index,
     batch_effective_kraus,
     bloch_sphere_grid,
-    classify_env,
     classify_envs,
     degradability_index,
-    is_antidegradable_choi,
     is_universally_antidegradable,
 )
 from envcap.experiments import REGION_UNIVERSAL_GRID
-from envcap.linalg import bloch_state, eigvals2, haar_unitary, random_pure_state
-from oracles import degradability_index_by_list, region_points, same_bits
+from envcap.linalg import bloch_state, eigvals2, haar_unitary
+from oracles import (
+    complementary_channel,
+    degradability_index_by_list,
+    is_antidegradable_choi,
+    random_pure_state,
+    region_points,
+    same_bits,
+)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -57,11 +57,10 @@ class TestIndex:
         rng = np.random.default_rng(63)
         for _ in range(100):
             ch = effective_channel(haar_unitary(4, rng), random_pure_state(2, rng))
-            nf = kraus_normal_form(ch)
-            if len(nf) < 2:
+            ops, weights = normal_form_stack(np.stack(ch.kraus))
+            if weights[1] <= KRAUS_WEIGHT_FLOOR:
                 continue
-            dets = [np.linalg.det(2 * k.conj().T @ k - np.eye(2)).real
-                    for k in nf.kraus]
+            dets = [np.linalg.det(2 * k.conj().T @ k - np.eye(2)).real for k in ops]
             assert abs(dets[0] - dets[1]) < 1e-12
 
     def test_batch_matches_scalar(self):
@@ -87,17 +86,17 @@ class TestIndex:
 
 class TestClassify:
     def test_damping_side_of_swap_family(self):
-        cl = classify_env(swap_power(0.75), KET0)
+        cl = classify_envs(swap_power(0.75), KET0[None])[0]
         assert cl.tag is Degradability.ANTI_DEGRADABLE
         assert cl.index == pytest.approx(np.cos(0.75 * PI), abs=1e-12)
 
     def test_identity_gate(self):
         rng = np.random.default_rng(65)
-        cl = classify_env(np.eye(4, dtype=complex), random_pure_state(2, rng))
+        cl = classify_envs(np.eye(4, dtype=complex), random_pure_state(2, rng)[None])[0]
         assert cl.tag is Degradability.DEGRADABLE
 
     def test_sqrt_swap_symmetric(self):
-        cl = classify_env(swap_power(0.5), KET_PLUS)
+        cl = classify_envs(swap_power(0.5), KET_PLUS[None])[0]
         assert cl.tag is Degradability.SYMMETRIC
 
 
@@ -205,7 +204,7 @@ class TestStackedIndex:
             for eta, cl in zip(etas, stacked):
                 assert same_bits(cl.index, degradability_index(v, eta))
                 assert same_bits(cl.index, degradability_index_by_list(v, eta))
-                assert cl == classify_env(v, eta)
+                assert cl == classify_envs(v, eta[None])[0]
 
     def test_chunks_do_not_change_values(self):
         # 33 x 33 states run as two chunks; every state equals its lone call
