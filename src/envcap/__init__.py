@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .canonical import (
     CNOT,
-    DCNOT,
     MAGIC,
     SWAP,
     CanonicalParams,

@@ -42,12 +42,6 @@ CNOT = np.array([[1, 0, 0, 0],
                  [0, 0, 0, 1],
                  [0, 0, 1, 0]], dtype=complex)
 
-#: |a, e> -> |e, a XOR e>: a CNOT in each direction.
-DCNOT = np.array([[1, 0, 0, 0],
-                  [0, 0, 1, 0],
-                  [0, 0, 0, 1],
-                  [0, 1, 0, 0]], dtype=complex)
-
 # Half-phases of gates in the fundamental tetrahedron lie in this window;
 # the ordering constraint below is the tetrahedron rewritten in l_k.
 _L_LO = -3 * np.pi / 4
@@ -66,10 +60,7 @@ class DecompositionError(ValueError):
 
 def half_phases(params) -> np.ndarray:
     ax, ay, az = np.asarray(params, dtype=float).T  # over the last axis
-    return np.array([(ax - ay + az) / 2,
-                     (-ax + ay + az) / 2,
-                     (-ax - ay - az) / 2,
-                     (ax + ay - az) / 2]).T
+    return np.array([ax - ay + az, -ax + ay + az, -ax - ay - az, ax + ay - az]).T / 2
 
 
 def canonical_matrix(params) -> np.ndarray:

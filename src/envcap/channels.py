@@ -80,24 +80,14 @@ def effective_channel(v, eta) -> KrausChannel:
     v = as_two_qubit(v)
     eta = np.asarray(eta, dtype=complex)
     if eta.ndim == 1:
-        vecs = [check_state_vector(eta)]
-        weights = [1.0]
+        parts = [(1.0, check_state_vector(eta))]
     else:
-        eta = check_density_matrix(eta)
-        w, u = np.linalg.eigh(eta)
-        order = np.argsort(w)[::-1]
-        weights, vecs = [], []
-        for j in order:
-            if w[j] > KRAUS_WEIGHT_FLOOR:
-                weights.append(float(w[j]))
-                vecs.append(u[:, j])
-    if vecs[0].shape[0] != 2:
-        raise ValueError(f"environment state dimension {vecs[0].shape[0]} != 2")
+        w, u = np.linalg.eigh(check_density_matrix(eta))
+        parts = [(float(w[j]), u[:, j]) for j in np.argsort(w)[::-1] if w[j] > KRAUS_WEIGHT_FLOOR]
+    if len(parts[0][1]) != 2:
+        raise ValueError(f"environment state dimension {len(parts[0][1])} != 2")
     v4 = v.matrix.reshape(2, 2, 2, 2)
-    ops = []
-    for p, vec in zip(weights, vecs):
-        k = np.sqrt(p) * np.einsum("bfae,e->fba", v4, vec)
-        ops.extend(k[i] for i in range(2))
+    ops = [k for p, vec in parts for k in np.sqrt(p) * np.einsum("bfae,e->fba", v4, vec)]
     return KrausChannel(tuple(ops), dim_in=2, dim_out=2)
 
 

@@ -56,16 +56,9 @@ def _rows_to_csv(cfg: ExperimentConfig, header, rows) -> str:
 
 
 def _rows_to_json(header, rows) -> str:
-    out = []
-    for row in rows:
-        obj = {}
-        for key, x in zip(header, row):
-            if isinstance(x, (bool, int, float)):
-                obj[key] = x
-            else:
-                obj[key] = str(x)
-        out.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(out) + "\n"
+    return "\n".join(json.dumps({key: x if isinstance(x, (bool, int, float)) else str(x)
+                                 for key, x in zip(header, row)}, sort_keys=True)
+                      for row in rows) + "\n"
 
 
 def _floats(text: str) -> tuple:
@@ -140,11 +133,8 @@ def main(argv=None) -> int:
             print(f"{result:.6f}")
             return EXIT_OK
         header, rows = result
-        if cfg.format == "json":
-            text = _rows_to_json(header, rows)
-        else:
-            text = _rows_to_csv(cfg, header, rows)
-        _emit(cfg, text)
+        _emit(cfg, _rows_to_json(header, rows) if cfg.format == "json"
+              else _rows_to_csv(cfg, header, rows))
         return EXIT_OK
     except BracketError as exc:
         print(f"envcap: {exc}", file=sys.stderr)

@@ -2,21 +2,27 @@
 
 The criterion is the determinant det(2 K0^dag K0 - I) on the leading
 Kraus operator of the normal form: sign > 0 degradable, < 0
-anti-degradable, = 0 symmetric.  A closed-form version of the index
-over grids of pure environment states backs the universal (all-eta)
-scans.
+anti-degradable, = 0 symmetric.  It equals det T_N - det T_Nc, with T
+the 3x3 Bloch (Pauli-transfer) matrix of the channel and of its
+complement.  That difference is basis-free: a change of Kraus basis
+rotates the complement's Bloch ball, and a rotation has determinant 1.
+T is linear in the environment's Bloch vector r, so the index is a
+cubic in r with coefficients from the gate alone; the scans over pure
+environment states evaluate it in that form.  ``classify`` stays on the
+normal form.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, normal_form_stack
-from .linalg import bloch_state, check_state_vector, eigh2, in_chunks
+from .linalg import bloch_state, check_state_vector, in_chunks
 
 #: |index| at or below this classifies as symmetric.  The index is a
 #: determinant of exactly representable 2x2 products; its noise floor is
@@ -25,6 +31,22 @@ SYMMETRIC_TOL = 1e-9
 
 #: States per stacked normal-form evaluation in :func:`classify_envs`.
 _CLASSIFY_CHUNK = 1024
+
+#: Gates per stacked cubic evaluation in :func:`universally_antidegradable`.
+_SCAN_CHUNK = 32
+
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: sigma_i (x) I, then I (x) sigma_i, i = x, y, z: the Bloch observables of B and F.
+_OUTPUTS = np.concatenate([np.einsum("iab,cd->iacbd", _PAULI[1:], np.eye(2)),
+                           np.einsum("ab,icd->iacbd", np.eye(2), _PAULI[1:])]).reshape(6, 4, 4)
+#: Columns vec((sigma_j (x) sigma_k)^T) / 4, j = x, y, z and k = 0..3,
+#: so that vec(W) @ _INPUTS holds Tr(W sigma_j (x) sigma_k) / 4.
+_INPUTS = 0.25 * np.einsum("jab,kcd->jkbdac", _PAULI[1:], _PAULI).reshape(12, 16).T
+#: The cubic's monomials r~_k r~_l r~_m, k <= l <= m; (64, 20) sums ordered triples into them.
+_TRIPLES = list(itertools.combinations_with_replacement(range(4), 3))
+_SYMMETRIZE = np.array([[tuple(sorted(t)) == c for c in _TRIPLES]
+                        for t in itertools.product(range(4), repeat=3)], dtype=float)
+_LEVI_CIVITA = np.fromfunction(lambda i, j, k: (j - i) * (k - i) * (k - j) / 2, (3, 3, 3))
 
 
 class Degradability(enum.Enum):
@@ -71,9 +93,8 @@ def bloch_sphere_grid(n_theta: int, n_phi: int | None = None):
     Returns (states, thetas, phis) with states of shape (N, 2).
     """
     n_phi = n_theta if n_phi is None else n_phi
-    th = np.linspace(0.0, np.pi, n_theta)
-    ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    t, p = np.meshgrid(th, ph, indexing="ij")
+    t, p = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
+                       np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False), indexing="ij")
     return bloch_state(t, p).reshape(-1, 2), t.ravel(), p.ravel()
 
 
@@ -87,38 +108,61 @@ def batch_effective_kraus(v, etas: np.ndarray) -> np.ndarray:
     return np.einsum("bfae,...e->...fba", v4, np.asarray(etas, dtype=complex))
 
 
-def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
-    """Determinant index over pure environment states (n, 2), with the 2x2
-    Gram eigenproblem in closed form so grid scans stay cheap.
+def _transfer_terms(m: np.ndarray) -> np.ndarray:
+    """Terms A (..., s, i, j, k) of the Bloch matrices T_s = sum_k r~_k A[..., s, :, :, k]
+    of gates m (..., 4, 4), r~ = (1, r) with r the environment's Bloch vector:
+    Tr(O_si V (sigma_j (x) sigma_k) V^dag) / 4 with O_0i = sigma_i (x) I for the
+    channel to B and O_1i = I (x) sigma_i for its complement, taken as Tr(V^dag O V ...)."""
+    w = m.conj().swapaxes(-1, -2)[..., None, :, :] @ _OUTPUTS @ m[..., None, :, :]
+    return (w.reshape(m.shape[:-2] + (6, 16)) @ _INPUTS).real.reshape(m.shape[:-2] + (2, 3, 3, 4))
 
-    It agrees with :func:`degradability_index` to round-off where the two
-    Kraus weights differ.  Where both are 1 the leading Kraus operator is
-    any unit combination, and the two may pick different ones: values then
-    differ (by up to 0.92 at the gate (pi/2, 0, 0)); the tags have agreed.
+
+def _bloch4(etas) -> np.ndarray:
+    """r~ = (1, r), the values <eta|sigma_k|eta>, of state vectors over the last axis."""
+    psi = np.asarray(etas, dtype=complex)
+    rho = psi.conj()[..., :, None] * psi[..., None, :]
+    return (rho.reshape(rho.shape[:-2] + (4,)) @ _PAULI.reshape(4, 4).T).real
+
+
+def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
+    """The index det T_N - det T_Nc over pure environment states (..., 2).
+
+    It matches :func:`degradability_index` to round-off where the two Kraus
+    weights differ.  Where both are 1 the normal form's value depends on
+    which unit combination of the two leads; this one does not.  A unitary
+    channel has det T_N = 1 and a constant complement: +1.
     """
-    # [kraus, entry, state]: every elementwise sum below runs over states
-    k = np.moveaxis(batch_effective_kraus(v, etas), 0, -1).reshape(2, 4, -1)
-    g = (k.conj()[:, None] * k).sum(2)  # Gram matrix, trace 2
-    gw, gv = eigh2(np.moveaxis(g, -1, 0))
-    k0 = (gv[:, 0, 1] * k[0] + gv[:, 1, 1] * k[1]).reshape(2, 2, -1)  # larger weight
-    p = (k0.conj()[:, :, None] * k0[:, None]).sum(0)  # K0^dag K0
-    det_p = (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]).real
-    idx = 4 * det_p - 2 * (p[0, 0] + p[1, 1]).real + 1
-    # single-Kraus (unitary) channels carry index +1 by convention
-    return np.where(gw[:, 0] < 1e-14, 1.0, idx)
+    t = _bloch4(etas) @ _transfer_terms(as_two_qubit(v).matrix).reshape(18, 4).T
+    det = np.linalg.det(t.reshape(t.shape[:-1] + (2, 3, 3)))
+    return det[..., 0] - det[..., 1]
+
+
+def _cubic_coefficients(m: np.ndarray) -> np.ndarray:
+    """Coefficients (n, 20) of the index of gates m (n, 4, 4) over the monomials of
+    :data:`_TRIPLES`: det sum_k r~_k A_k is the sum over (k, l, m) of
+    r~_k r~_l r~_m det(row 0 of A_k, row 1 of A_l, row 2 of A_m)."""
+    a = _transfer_terms(m)
+    p = np.einsum("abc,nsak,nsbl,nscm->nsklm", _LEVI_CIVITA, a[:, :, 0], a[:, :, 1], a[:, :, 2],
+                  optimize=True)
+    return (p[:, 0] - p[:, 1]).reshape(-1, 64) @ _SYMMETRIZE
 
 
 @functools.lru_cache(maxsize=4)
-def _sphere_states(grid: int) -> np.ndarray:
-    """The states of ``bloch_sphere_grid(grid, grid)``, built once and shared."""
-    return bloch_sphere_grid(grid, grid)[0]
+def _sphere_monomials(grid: int) -> np.ndarray:
+    """The monomials (20, grid**2) at the states of ``bloch_sphere_grid(grid, grid)``."""
+    return _bloch4(bloch_sphere_grid(grid, grid)[0])[:, _TRIPLES].prod(-1).T.copy()
+
+
+def universally_antidegradable(m, grid: int = 64) -> np.ndarray:
+    """:func:`is_universally_antidegradable` of gate matrices (n, 4, 4), taken as
+    given: the cubic's coefficients times its monomials, :data:`_SCAN_CHUNK` gates at once."""
+    mono = _sphere_monomials(grid)
+    return in_chunks(lambda g: (_cubic_coefficients(g) @ mono <= SYMMETRIC_TOL).all(1),
+                     _SCAN_CHUNK, np.asarray(m, dtype=complex))
 
 
 def is_universally_antidegradable(v, grid: int = 64) -> bool:
-    """Whether every grid point of pure environment states classifies as
-    anti-degradable or symmetric.
-
-    Symmetric points are consistent with universal anti-degradability
-    (the defining inequality is non-strict).
-    """
-    return bool((batch_degradability_index(v, _sphere_states(grid)) <= SYMMETRIC_TOL).all())
+    """Whether every point of the (grid x grid) sphere of pure environment
+    states classifies as anti-degradable or symmetric (the defining
+    inequality is non-strict)."""
+    return bool(universally_antidegradable(as_two_qubit(v).matrix[None], grid)[0])

@@ -34,7 +34,7 @@ from .channels import BipartiteUnitary
 from .degradability import (
     bloch_sphere_grid,
     classify_envs,
-    is_universally_antidegradable,
+    universally_antidegradable,
 )
 
 #: Default theta slices for the b2 family.
@@ -192,24 +192,19 @@ def _b2_rows(cfg, opts):
 
 
 def _eh_swap_rows(cfg, opts):
-    rows = []
-    for g in np.linspace(0.0, 1.0, cfg.grid):
-        qeh = swap_power_helper_capacity(g, opts).value
-        qh = separable_helper_capacity(swap_power(g), opts).value
-        rows.append((g, qeh, qh))
+    rows = [(g, swap_power_helper_capacity(g, opts).value,
+             separable_helper_capacity(swap_power(g), opts).value)
+            for g in np.linspace(0.0, 1.0, cfg.grid)]
     return ("gamma", "qeh_tensor", "qh_tensor"), rows
 
 
 def _region_scan_rows(cfg, opts):
     axis = np.linspace(0.0, np.pi / 2, cfg.grid)
-    rows = []
-    for ax in axis:
-        for ay in axis[axis <= ax + 1e-12]:
-            for az in axis[axis <= ay + 1e-12]:
-                p = (float(ax), float(ay), float(az))
-                rows.append((*p, in_antidegradable_region(p), in_degradable_region(p),
-                             is_universally_antidegradable(canonical_unitary(p),
-                                                           REGION_UNIVERSAL_GRID)))
+    points = [(float(ax), float(ay), float(az)) for ax in axis
+              for ay in axis[axis <= ax + 1e-12] for az in axis[axis <= ay + 1e-12]]
+    universal = universally_antidegradable(canonical_matrix(points), REGION_UNIVERSAL_GRID)
+    rows = [(*p, in_antidegradable_region(p), in_degradable_region(p), u)
+            for p, u in zip(points, universal.tolist())]
     return ("alpha_x", "alpha_y", "alpha_z", "in_A", "in_D", "universal_numeric"), rows
 
 
@@ -286,10 +281,7 @@ def run_experiment(cfg: ExperimentConfig):
 
 def _argmax_json(res) -> str:
     def enc(m):
-        if m is None:
-            return None
-        arr = np.asarray(m)
-        return [[float(x.real), float(x.imag)] for x in arr.reshape(-1)]
-
+        return None if m is None else [[float(x.real), float(x.imag)]
+                                       for x in np.asarray(m).reshape(-1)]
     return json.dumps({"input": enc(res.argmax_input), "env": enc(res.argmax_env)},
                       sort_keys=True)

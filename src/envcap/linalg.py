@@ -32,41 +32,39 @@ def as_complex_matrix(m) -> np.ndarray:
     return m
 
 
-def check_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: ||U^dag U - I||_max = {dev:.3e}")
     return u
 
 
-def check_state_vector(psi, tol: float = NORM_TOL) -> np.ndarray:
+def check_state_vector(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValueError(f"expected a state vector, got array of ndim {psi.ndim}")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector is not normalized: ||psi|| = {nrm!r}")
     return psi
 
 
-def check_density_matrix(rho, herm_tol: float = HERM_TOL,
-                         trace_tol: float = TRACE_TOL,
-                         psd_tol: float = PSD_TOL) -> np.ndarray:
+def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of ``rho``."""
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > herm_tol:
+    if herm_dev > HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian: deviation {herm_dev:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
     wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if wmin < -psd_tol:
+    if wmin < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
     return rho
 
@@ -86,19 +84,15 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
         raise ValueError(
             f"matrix of shape {m.shape} does not match subsystem split {tuple(dims)}")
     lead = m.shape[:-2]
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted({int(keep)} if isinstance(keep, (int, np.integer)) else {int(k) for k in keep})
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-    cur = m
-    cur_dims = list(dims)
+    cur, cur_dims = m, list(dims)
     for i in [i for i in reversed(range(len(dims))) if i not in keep]:
         k = len(lead) + i
         cur = np.trace(cur.reshape(lead + tuple(cur_dims) * 2), axis1=k, axis2=k + len(cur_dims))
         cur_dims.pop(i)
-        d = int(np.prod(cur_dims)) if cur_dims else 1
-        cur = cur.reshape(lead + (d, d))
+        cur = cur.reshape(lead + (int(np.prod(cur_dims)),) * 2)  # np.prod([]) is 1
     return cur
 
 

@@ -6,8 +6,8 @@ one-at-a-time versions of the stacked kernels, whose arithmetic the
 kernels must reproduce bit for bit; and the reference channels and
 helpers that only tests need:
 
-* states and products: :func:`tensor`, :func:`binary_entropy`,
-  :func:`maximally_mixed`, :func:`random_pure_state`,
+* the gate :data:`DCNOT`; states and products: :func:`tensor`,
+  :func:`binary_entropy`, :func:`maximally_mixed`, :func:`random_pure_state`,
   :func:`random_density_matrix`;
 * channels of a two-qubit gate besides the effective one: the channel
   into the environment (:func:`complementary_channel`), the channel to
@@ -17,7 +17,9 @@ helpers that only tests need:
 * Kraus-list operations: :func:`apply_channel`,
   :func:`complement_channel`, :func:`choi_state`,
   :func:`channel_reduction_b`, and the Choi-spectrum
-  anti-degradability criterion (:func:`is_antidegradable_choi`).
+  anti-degradability criterion (:func:`is_antidegradable_choi`);
+* the degradability index as det T_N - det T_Nc by Pauli traces
+  (:func:`bloch_determinant_index`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from envcap.canonical import (
+    CNOT,
     SWAP,
     canonical_unitary,
     decompose_params,
@@ -50,6 +53,10 @@ from envcap.linalg import (
     partial_trace,
     projector,
 )
+
+
+#: |a, e> -> |e, a XOR e>: a CNOT in each direction.
+DCNOT = CNOT @ SWAP
 
 
 # -- states and products -------------------------------------------------
@@ -292,6 +299,21 @@ def degradability_index_by_list(v, eta) -> float:
         return 1.0
     p = ops[0].conj().T @ ops[0]
     return float(np.linalg.det(2 * p - np.eye(2)).real)
+
+
+#: The Pauli matrices sigma_x, sigma_y, sigma_z.
+PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def bloch_determinant_index(v, eta) -> float:
+    """det T_N - det T_Nc of one pure environment state, with the Bloch
+    matrices T[i, j] = Tr(sigma_i N(sigma_j)) / 2 of the effective and the
+    complementary channel taken by Pauli traces of their Kraus lists."""
+    def det_t(ch):
+        return np.linalg.det([[np.trace(si @ apply_channel(ch, sj)).real / 2 for sj in PAULIS]
+                              for si in PAULIS])
+    return float(det_t(effective_channel(v, eta)) - det_t(complementary_channel(v, eta)))
 
 
 def two_copy_output(w, v, theta: float | None = None) -> np.ndarray:

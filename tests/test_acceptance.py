@@ -10,7 +10,6 @@ import numpy as np
 
 from envcap.canonical import (
     CNOT,
-    DCNOT,
     SWAP,
     canonical_unitary,
     decompose_params,
@@ -29,6 +28,7 @@ from envcap.cli import main
 from envcap.degradability import degradability_index, is_universally_antidegradable
 from envcap.linalg import haar_unitary, maximally_entangled, partial_trace, projector
 from oracles import (
+    DCNOT,
     choi_state,
     entangled_helper_coherent_info,
     is_antidegradable_choi,

@@ -3,7 +3,6 @@ import pytest
 
 from envcap.canonical import (
     CNOT,
-    DCNOT,
     MAGIC,
     SWAP,
     canonical_matrix,
@@ -17,7 +16,7 @@ from envcap.canonical import (
     swap_power_matrix,
 )
 from envcap.linalg import haar_unitary
-from oracles import in_degradable_region_by_swap, region_points, same_bits, tensor
+from oracles import DCNOT, in_degradable_region_by_swap, region_points, same_bits, tensor
 
 PI = np.pi
 

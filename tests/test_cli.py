@@ -358,6 +358,8 @@ PINNED_CSV = {
     "a3 --grid 9": "548e4def4c36783cf8dfb2c1f7b7fea8d4fc5f7302ae249060546cc1ff2078ea",
     "b2 --grid 9": "b606b3a95883e008493bc6dacffa6aabfbbe56970dd37bbf6e361df151ccef4c",
     "region_scan --grid 5": "f396a5f2b3ad602565bb607df7a9ecd82853050803817a380426ad0df88990d3",
+    "region_scan --grid 9": "b4f8ef0afd4b125e57c2199afa166f8d85e2e96db181bc93424b07c9099cc192",
+    "region_scan --grid 17": "77aa63aef94b0d2e6391ba3f755ad0d67982b209e68675eea8c7b34a93c616f6",
     "classify --grid 8 --params 0.3,0.2,0.1":
         "3f4c5e2c3ad9c9f25f924038c2e17cc126c3558bee7175d0662b0496fa89d3dd",
 }

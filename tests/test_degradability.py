@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, swap_power
+from envcap.canonical import (
+    CNOT,
+    SWAP,
+    canonical_matrix,
+    canonical_unitary,
+    decompose_params,
+    swap_power,
+)
 from envcap.channels import KRAUS_WEIGHT_FLOOR, KrausChannel, effective_channel, normal_form_stack
 from envcap.degradability import (
     SYMMETRIC_TOL,
@@ -12,10 +19,13 @@ from envcap.degradability import (
     classify_envs,
     degradability_index,
     is_universally_antidegradable,
+    universally_antidegradable,
 )
+from envcap.degradability import _cubic_coefficients, _sphere_monomials
 from envcap.experiments import REGION_UNIVERSAL_GRID
 from envcap.linalg import bloch_state, eigvals2, haar_unitary
 from oracles import (
+    bloch_determinant_index,
     complementary_channel,
     degradability_index_by_list,
     is_antidegradable_choi,
@@ -225,28 +235,96 @@ class TestStackedIndex:
             assert same_bits(batch_effective_kraus(v, eta), single)
 
 
+def degenerate_weights(v, etas) -> np.ndarray:
+    """States whose two Kraus weights agree to 1e-6: the Gram spectrum of
+    the effective Kraus pair is (1, 1)."""
+    k = batch_effective_kraus(v, etas)
+    w = eigvals2(np.einsum("niba,njba->nij", k.conj(), k))
+    return w[:, 1] - w[:, 0] <= 1e-6
+
+
 class TestBatchedAgainstNormalForm:
-    """The closed-form batched index against the normal-form kernel on the
-    states that ``region_scan --grid 5`` scans."""
+    """The basis-free batched index against the normal-form kernel on the
+    states that ``region_scan --grid 5`` scans.  Where both Kraus weights
+    are 1 the normal form leads with any unit combination of the two, and
+    its value depends on that pick; there the batched index is checked
+    against the Pauli-trace oracle instead."""
+
+    ETAS = bloch_sphere_grid(REGION_UNIVERSAL_GRID, REGION_UNIVERSAL_GRID)[0]
 
     def test_tags_agree_and_values_where_the_gram_gap_is_open(self):
-        etas, _, _ = bloch_sphere_grid(REGION_UNIVERSAL_GRID, REGION_UNIVERSAL_GRID)
         for p in region_points(5):
             v = canonical_unitary(p)
-            batch = batch_degradability_index(v, etas)
-            exact = np.array([cl.index for cl in classify_envs(v, etas)])
-            assert np.array_equal(tags(batch), tags(exact)), p
-            k = batch_effective_kraus(v, etas)
-            w = eigvals2(np.einsum("niba,njba->nij", k.conj(), k))
-            open_gap = w[:, 1] - w[:, 0] > 1e-6
+            batch = batch_degradability_index(v, self.ETAS)
+            exact = np.array([cl.index for cl in classify_envs(v, self.ETAS)])
+            open_gap = ~degenerate_weights(v, self.ETAS)
+            assert np.array_equal(tags(batch)[open_gap], tags(exact)[open_gap]), p
             assert np.abs(batch - exact)[open_gap].max(initial=0.0) <= 1e-10, p
 
+    def test_degenerate_states_match_the_pauli_trace_oracle(self):
+        checked = 0
+        for p in region_points(5):
+            v = canonical_unitary(p)
+            etas = self.ETAS[degenerate_weights(v, self.ETAS)]
+            oracle = [bloch_determinant_index(v, eta) for eta in etas]
+            assert np.abs(batch_degradability_index(v, etas) - oracle).max(initial=0.0) <= 1e-12, p
+            checked += len(etas)
+        assert checked >= 124
+
     def test_degenerate_weights_leave_the_value_open(self):
-        # at (pi/2, 0, 0) both Kraus weights are 1 on some states, where the
-        # two kernels pick different leading operators
-        etas, _, _ = bloch_sphere_grid(REGION_UNIVERSAL_GRID, REGION_UNIVERSAL_GRID)
+        # at (pi/2, 0, 0) both Kraus weights are 1 on 124 states; the
+        # invariant reads 0 (symmetric) there, where the normal form reads
+        # 60 of them anti-degradable, which a symmetric channel also is
         v = canonical_unitary((PI / 2, 0.0, 0.0))
-        batch = batch_degradability_index(v, etas)
-        exact = np.array([cl.index for cl in classify_envs(v, etas)])
-        assert np.abs(batch - exact).max() > 0.5
-        assert np.array_equal(tags(batch), tags(exact))
+        deg = degenerate_weights(v, self.ETAS)
+        batch = batch_degradability_index(v, self.ETAS[deg])
+        exact = np.array([cl.index for cl in classify_envs(v, self.ETAS[deg])])
+        assert deg.sum() == 124
+        assert np.abs(batch).max() <= 1e-15
+        assert (exact < -SYMMETRIC_TOL).sum() == 60 and np.abs(batch - exact).max() > 0.5
+        assert not is_universally_antidegradable(v, REGION_UNIVERSAL_GRID)
+
+
+class TestInvariance:
+    """Symmetries the physics guarantees, and the scan kernel's forms."""
+
+    def test_local_unitaries(self):
+        # (A (x) B) V (C (x) D) with environment eta induces the channel of V
+        # with environment D eta, rotated by C at the input and A at the
+        # output; its complement is rotated by B.  Rotations keep both
+        # determinants.
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            v = haar_unitary(4, rng)
+            a, b, c, d = (haar_unitary(2, rng) for _ in range(4))
+            etas = np.array([random_pure_state(2, rng) for _ in range(8)])
+            dressed = np.kron(a, b) @ v @ np.kron(c, d)
+            assert np.abs(batch_degradability_index(dressed, etas)
+                          - batch_degradability_index(v, etas @ d.T)).max() <= 1e-12
+
+    def test_matches_the_pauli_trace_oracle(self):
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            v = haar_unitary(4, rng)
+            eta = random_pure_state(2, rng)
+            assert abs(batch_degradability_index(v, eta[None])[0]
+                       - bloch_determinant_index(v, eta)) <= 1e-12
+
+    def test_cubic_equals_the_transfer_determinants(self):
+        # the closed-form coefficients times the grid monomials give the
+        # determinants of the transfer matrices, state by state
+        rng = np.random.default_rng(72)
+        gates = np.array([haar_unitary(4, rng) for _ in range(8)])
+        cubic = _cubic_coefficients(gates) @ _sphere_monomials(16)
+        etas, _, _ = bloch_sphere_grid(16, 16)
+        for v, row in zip(gates, cubic):
+            assert np.abs(row - batch_degradability_index(v, etas)).max() <= 1e-13
+
+    def test_stacked_verdicts_equal_per_gate(self):
+        points = region_points(9)
+        stacked = universally_antidegradable(canonical_matrix(points), REGION_UNIVERSAL_GRID)
+        assert stacked.shape == (len(points),)
+        assert stacked.tolist() == [is_universally_antidegradable(canonical_unitary(p),
+                                                                  REGION_UNIVERSAL_GRID)
+                                    for p in points]
+        assert universally_antidegradable(np.zeros((0, 4, 4)), 8).shape == (0,)
