@@ -37,8 +37,6 @@ from .linalg import (
     bloch_density,
     bloch_state,
     check_density_matrix,
-    eigh2,
-    eigvals2,
     entropy,
     entropy_from_eigvals,
     in_chunks,
@@ -113,10 +111,9 @@ def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
 
     The complement comes from the canonical dilation of the Kraus list.
     """
-    e = "" if kraus.ndim == 3 and rho.ndim == 2 else "..."
     kc = kraus.conj()
-    out = np.einsum(f"{e}kba,{e}ac,{e}kdc->{e}bd", kraus, rho, kc)
-    comp = np.einsum(f"{e}kba,{e}ac,{e}lbc->{e}kl", kraus, rho, kc)
+    out = np.einsum("...kba,...ac,...kdc->...bd", kraus, rho, kc)
+    comp = np.einsum("...kba,...ac,...lbc->...kl", kraus, rho, kc)
     return entropy(out, validate=False) - entropy(comp, validate=False)
 
 
@@ -395,52 +392,33 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
 # adversarial (jammer) value, single copy
 # ---------------------------------------------------------------------------
 
-def _jammer_affine(v: BipartiteUnitary, rho: np.ndarray):
-    """Rows (D_0, ..., D_3) of the jammer output rho_RB(r) = D_0 + sum_i r_i D_i
-    on B (x) R, with R purifying ``rho`` by the amplitudes u sqrt(w) of its
-    spectrum, flattened to (4, 16); and those of rho_B = Tr_R rho_RB, (4, 4)."""
-    w, u = eigh2(rho)
-    x = np.einsum("bfae,ak->bfke", v.matrix.reshape(2, 2, 2, 2), u * np.sqrt(np.maximum(w, 0.0)))
-    etas = bloch_density(np.vstack([np.zeros(3), np.eye(3)]))
-    rb = np.einsum("bfke,ned,cfld->nbkcl", x, etas, x.conj())
-    rb[1:] -= rb[0]  # the map at I/2, then at sigma_i/2
-    return rb.reshape(4, 16), np.einsum("nbkck->nbc", rb).reshape(4, 4)
-
-
-def _jammer_ic(coeffs, r):
-    """S(rho_B) - S(rho_RB) at environment Bloch vectors ``r`` (clipped to the
-    ball) over its leading axes; rho_RB has the canonical complement's spectrum."""
-    rb, b = coeffs
-    r = r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
-    rho_rb = (rb[0] + r @ rb[1:]).reshape(r.shape[:-1] + (4, 4))
-    rho_b = (b[0] + r @ b[1:]).reshape(r.shape[:-1] + (2, 2))
-    return entropy_from_eigvals(eigvals2(rho_b)) - entropy_from_eigvals(np.linalg.eigvalsh(rho_rb))
-
-
 def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Single-copy max-min coherent information against an adversarial
     environment, in closed form.
 
     A canonical gate commutes with X(x)X, Y(x)Y and Z(x)Z, so at the input
-    I/2 the map eta -> I_c(I/2, N_eta) is invariant under the Pauli group;
-    it is convex, since rho_RB is affine in eta (:func:`_jammer_affine`) and
-    -S(R|B) is convex.  Its minimum is therefore at eta = I/2, which local
-    dressing leaves fixed, and every gate has
+    I/2 the map eta -> I_c(I/2, N_eta) is invariant under the Pauli group.
+    It is convex: with R purifying the input, the output rho_RB is affine
+    in eta, and I_c = -S(R|B) is convex in rho_RB.  Its minimum is
+    therefore at eta = I/2, which local dressing leaves fixed, and every
+    gate has
 
         max(0, L) <= J <= U,   L = I_c(I/2, N_{I/2}),   U = Q1(N_{I/2}),
 
-    with J >= 0 because a pure input gives zero.  The value is max(0, L),
-    exact from one 4x4 spectrum; U is the :func:`max_coherent_info`
-    estimate, reported with its restart record and ``bracket = (value, U)``
-    in the diagnostics.  The argmax is (I/2, I/2) when L > 0, and
-    (|0><0|, I/2), which reaches zero, otherwise.
+    with J >= 0 because a pure input gives zero.  The value max(0, L) is
+    exact: L is :func:`coherent_info` of the channel N_{I/2}, whose
+    canonical complement has the spectrum of rho_RB.  U is the
+    :func:`max_coherent_info` estimate of that channel, so the bracket
+    ``(value, U)`` in the diagnostics, reported with U's restart record,
+    is certified only from below.  The argmax is (I/2, I/2) when L > 0,
+    and (|0><0|, I/2), which reaches zero, otherwise.
     """
     opts = opts or OptimizerOptions()
-    v = as_two_qubit(v)
     mixed = bloch_density(np.zeros(3))
-    low = float(_jammer_ic(_jammer_affine(v, mixed), np.zeros(3)))
+    channel = effective_channel(v, mixed)
+    low = coherent_info(channel, mixed)
     value = max(0.0, low)
-    upper = max_coherent_info(effective_channel(v, mixed), opts)
+    upper = max_coherent_info(channel, opts)
     return CapacityResult(
         value=value,
         argmax_input=mixed if low > 0 else projector(np.array([1, 0], complex)),

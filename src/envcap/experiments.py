@@ -8,6 +8,7 @@ I/O.  Gate angles arriving from the command line are in units of pi.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +47,10 @@ REGION_UNIVERSAL_GRID = 32
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite number: NaN and infinities stop here, not in a kernel."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
 def _is_reals(x) -> bool:
@@ -56,12 +60,12 @@ def _is_reals(x) -> bool:
 #: What each config field may hold; None takes the command's default.
 _FIELD_CHECKS = {
     "grid": ("an integer", lambda x: x is None or _is_real(x) and isinstance(x, int)),
-    "tol": ("a real number", lambda x: x is None or _is_real(x)),
-    "params": ("a list of real numbers", _is_reals),
+    "tol": ("a finite real number", lambda x: x is None or _is_real(x)),
+    "params": ("a list of finite real numbers", _is_reals),
     "output_path": ("a path string", lambda x: x is None or isinstance(x, str)),
     "format": ("csv or json", lambda x: x in ("csv", "json")),
     "no_timestamp": ("true or false", lambda x: isinstance(x, bool)),
-    "bracket": ("two real numbers", lambda x: x is None or _is_reals(x) and len(x) == 2),
+    "bracket": ("two finite real numbers", lambda x: x is None or _is_reals(x) and len(x) == 2),
 }
 
 

@@ -37,7 +37,7 @@ def check_unitary(u) -> np.ndarray:
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: ||U^dag U - I||_max = {dev:.3e}")
     return u
 
@@ -47,7 +47,7 @@ def check_state_vector(psi) -> np.ndarray:
     if psi.ndim != 1:
         raise ValueError(f"expected a state vector, got array of ndim {psi.ndim}")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise ValueError(f"state vector is not normalized: ||psi|| = {nrm!r}")
     return psi
 
@@ -58,13 +58,13 @@ def check_density_matrix(rho) -> np.ndarray:
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > HERM_TOL:
+    if not herm_dev <= HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian: deviation {herm_dev:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace is {tr!r}, expected 1")
     wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if wmin < -PSD_TOL:
+    if not wmin >= -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
     return rho
 
@@ -96,37 +96,14 @@ def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
     return cur
 
 
-def _eig2_terms(m):
-    """Mean (a + d)/2, half-gap (a - d)/2, eigenvalue radius and b of
-    Hermitian 2x2 matrices [[a, b], [b*, d]] over the last two axes."""
-    m = np.asarray(m)
-    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
-    gap = (a - d) / 2
-    return (a + d) / 2, gap, np.sqrt(gap ** 2 + np.abs(b) ** 2), b
-
-
 def eigvals2(m) -> np.ndarray:
     """Ascending eigenvalues of Hermitian 2x2 matrices over the last two
     axes, in closed form."""
-    half, _, r, _ = _eig2_terms(m)
+    m = np.asarray(m)
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    half, gap = (a + d) / 2, (a - d) / 2
+    r = np.sqrt(gap ** 2 + np.abs(m[..., 0, 1]) ** 2)
     return np.stack([half - r, half + r], -1)
-
-
-def eigh2(m) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of Hermitian 2x2 matrices over the
-    last two axes: ascending eigenvalues and eigenvectors as columns,
-    like ``np.linalg.eigh``."""
-    half, gap, r, b = _eig2_terms(m)
-    # upper eigenvector (gap + r, b*) or (b, r - gap), whichever sum does
-    # not cancel; a multiple of the identity (r = 0) takes (1, 0)
-    first = gap >= 0
-    v0 = np.where(first, np.where(r == 0, 1.0, gap + r), b)
-    v1 = np.where(first, np.conj(b), r - gap)
-    nrm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
-    v0, v1 = v0 / nrm, v1 / nrm
-    vecs = np.stack([np.stack([-np.conj(v1), np.conj(v0)], -1),
-                     np.stack([v0, v1], -1)], -1)
-    return np.stack([half - r, half + r], -1), vecs
 
 
 def in_chunks(f, size: int, *stacks) -> np.ndarray:
@@ -142,13 +119,9 @@ def entropy_from_eigvals(w):
     A 1-d array gives a float; a stack gives an array of entropies.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim > 1:
-        keep = w > ENTROPY_EIG_FLOOR
-        return np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(-1)
-    w = w[w > ENTROPY_EIG_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log2(w)).sum())
+    keep = w > ENTROPY_EIG_FLOOR
+    s = np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(-1)
+    return float(s) if w.ndim == 1 else s
 
 
 def entropy(rho, validate: bool = True):

@@ -19,7 +19,11 @@ helpers that only tests need:
   :func:`channel_reduction_b`, and the Choi-spectrum
   anti-degradability criterion (:func:`is_antidegradable_choi`);
 * the degradability index as det T_N - det T_Nc by Pauli traces
-  (:func:`bloch_determinant_index`).
+  (:func:`bloch_determinant_index`);
+* the jammer's coherent information through a purification of the input,
+  affine in the environment's Bloch vector (:func:`jammer_affine`,
+  :func:`jammer_ic`), the objective of the nested max-min search
+  :func:`jammer_search`.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from envcap.canonical import (
     fold_to_fundamental,
     in_antidegradable_region,
 )
-from envcap.capacity import _helper_terms, _jammer_affine, _jammer_ic, _maximize, coherent_info
+from envcap.capacity import _helper_terms, _maximize, coherent_info
 from envcap.channels import (
     KRAUS_WEIGHT_FLOOR,
+    BipartiteUnitary,
     KrausChannel,
     as_two_qubit,
     effective_channel,
@@ -48,7 +53,9 @@ from envcap.linalg import (
     as_complex_matrix,
     bloch_density,
     check_state_vector,
+    eigvals2,
     entropy,
+    entropy_from_eigvals,
     maximally_entangled,
     partial_trace,
     projector,
@@ -213,6 +220,28 @@ def ball_grid(n: int) -> np.ndarray:
     return pts[np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12]
 
 
+def jammer_affine(v: BipartiteUnitary, rho: np.ndarray):
+    """Rows (D_0, ..., D_3) of the jammer output rho_RB(r) = D_0 + sum_i r_i D_i
+    on B (x) R, with R purifying ``rho`` by the amplitudes u sqrt(w) of its
+    spectrum, flattened to (4, 16); and those of rho_B = Tr_R rho_RB, (4, 4)."""
+    w, u = np.linalg.eigh(rho)
+    x = np.einsum("bfae,ak->bfke", v.matrix.reshape(2, 2, 2, 2), u * np.sqrt(np.maximum(w, 0.0)))
+    etas = bloch_density(np.vstack([np.zeros(3), np.eye(3)]))
+    rb = np.einsum("bfke,ned,cfld->nbkcl", x, etas, x.conj())
+    rb[1:] -= rb[0]  # the map at I/2, then at sigma_i/2
+    return rb.reshape(4, 16), np.einsum("nbkck->nbc", rb).reshape(4, 4)
+
+
+def jammer_ic(coeffs, r):
+    """S(rho_B) - S(rho_RB) at environment Bloch vectors ``r`` (clipped to the
+    ball) over its leading axes; rho_RB has the canonical complement's spectrum."""
+    rb, b = coeffs
+    r = r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0)
+    rho_rb = (rb[0] + r @ rb[1:]).reshape(r.shape[:-1] + (4, 4))
+    rho_b = (b[0] + r @ b[1:]).reshape(r.shape[:-1] + (2, 2))
+    return entropy_from_eigvals(eigvals2(rho_b)) - entropy_from_eigvals(np.linalg.eigvalsh(rho_rb))
+
+
 def jammer_search(v, eta_grid_n: int = 17, rho_grid_n: int = 9, max_iters: int = 500):
     """Nested max-min search for the single-copy jammer value.
 
@@ -227,17 +256,17 @@ def jammer_search(v, eta_grid_n: int = 17, rho_grid_n: int = 9, max_iters: int =
     argmins = {}
 
     def inner_min(r):
-        coeffs = _jammer_affine(v, bloch_density(_clip_ball(r)))
-        vals = _jammer_ic(coeffs, eta_grid)
+        coeffs = jammer_affine(v, bloch_density(_clip_ball(r)))
+        vals = jammer_ic(coeffs, eta_grid)
         i = int(np.argmin(vals))
-        x, negv, _ = _maximize(lambda e: -_jammer_ic(coeffs, e),
+        x, negv, _ = _maximize(lambda e: -jammer_ic(coeffs, e),
                                [eta_grid[i]], 0.15, 1e-7, max_iters,
                                best=(eta_grid[i], -float(vals[i])))
         argmins[r.tobytes()] = _clip_ball(x)
         return -negv
 
     rho_grid = ball_grid(rho_grid_n)
-    scores = np.array([_jammer_ic(_jammer_affine(v, bloch_density(x)), eta_grid).min()
+    scores = np.array([jammer_ic(jammer_affine(v, bloch_density(x)), eta_grid).min()
                        for x in rho_grid])
     i0 = int(np.argmax(scores))
     x, val, _ = _maximize(lambda rs: np.array([inner_min(r) for r in rs]), [rho_grid[i0]],

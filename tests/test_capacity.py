@@ -11,8 +11,6 @@ from envcap.channels import BipartiteUnitary, KrausChannel, effective_channel
 from envcap import capacity
 from envcap.capacity import (
     BracketError,
-    _jammer_affine,
-    _jammer_ic,
     OptimizerOptions,
     coherent_info,
     find_zero_crossing,
@@ -37,6 +35,8 @@ from oracles import (
     apply_channel,
     entangled_env_channel,
     entangled_helper_coherent_info,
+    jammer_affine,
+    jammer_ic,
     jammer_search,
     maximally_mixed,
     random_density_matrix,
@@ -287,22 +287,35 @@ class TestJammer:
         rng = np.random.default_rng(77)
         for _ in range(20):
             v = BipartiteUnitary(haar_unitary(4, rng))
+            self.check_lower_value_against_purification(v)
             r = rng.uniform(-1, 1, 3)
             r[1] = np.sign(r[1]) * max(abs(r[1]), 0.2)
             r *= rng.uniform(0.3, 1.0) / np.linalg.norm(r)
             rho = random_density_matrix(2, rng)
-            coeffs = _jammer_affine(v, rho)
+            coeffs = jammer_affine(v, rho)
             want = coherent_info(effective_channel(v, bloch_density(r)), rho)
-            got = _jammer_ic(coeffs, r)
+            got = jammer_ic(coeffs, r)
             assert abs(got - want) < 1e-12
-            stacked = _jammer_ic(coeffs, np.stack([r, -r]))
+            stacked = jammer_ic(coeffs, np.stack([r, -r]))
             assert abs(stacked[0] - got) < 1e-14
             # outside the ball: clipped onto the surface, as bloch_density does
             unit = r / np.linalg.norm(r)
-            assert abs(_jammer_ic(coeffs, 2 * unit) - _jammer_ic(coeffs, unit)) < 1e-14
+            assert abs(jammer_ic(coeffs, 2 * unit) - jammer_ic(coeffs, unit)) < 1e-14
             # a pure input keeps its reference out of the output: zero
-            pure = _jammer_affine(v, random_density_matrix(2, rng, rank=1))
-            assert abs(_jammer_ic(pure, r)) < 1e-12
+            pure = jammer_affine(v, random_density_matrix(2, rng, rank=1))
+            assert abs(jammer_ic(pure, r)) < 1e-12
+        for params, _ in JAMMER_POSITIVE:
+            self.check_lower_value_against_purification(
+                canonical_unitary(tuple(PI * a for a in params)))
+
+    @staticmethod
+    def check_lower_value_against_purification(v):
+        # at r = 0 and rho = I/2 the purification route gives L, which
+        # jammer_value takes as coherent_info of the channel N_{I/2}
+        mixed = maximally_mixed(2)
+        low = jammer_ic(jammer_affine(v, mixed), np.zeros(3))
+        assert abs(low - coherent_info(effective_channel(v, mixed), mixed)) < 1e-12
+        assert abs(max(0.0, low) - jammer_value(v, FAST_OPTS).diagnostics["raw_value"]) < 1e-12
 
     @pytest.mark.parametrize("case", ["product", "haar"])
     def test_argmax_consistent_with_value(self, case):

@@ -56,6 +56,7 @@ class TestAsTwoQubit:
         np.eye(6, dtype=complex),
         np.eye(8, dtype=complex),
         np.ones((4, 4), dtype=complex),
+        np.full((4, 4), np.nan),
     ])
     def test_rejects_other_gates(self, bad):
         with pytest.raises(ValueError):

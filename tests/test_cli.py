@@ -86,6 +86,15 @@ class TestExitCodes:
         assert "grid" in err
 
 
+    @pytest.mark.parametrize("args", [["qhtens", "--params", "inf,0,0", "--grid", "4"],
+                                      ["jammer", "--params", "nan,0,0"]])
+    def test_non_finite_params_rejected(self, args, capsys):
+        # stopped at the config, before any kernel sees them
+        rc, out, err = run_cli(args, capsys)
+        assert (rc, out) == (EXIT_BAD_CONFIG, "")
+        assert "params" in err
+
+
 class TestCsvOutput:
     def test_deterministic_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -210,7 +219,8 @@ class TestConfigFile:
         ("locate a1", {"tol": "1e-3"}), ("a1", {"params": 5}),
         ("a1", {"params": ["0.5"]}), ("locate a1", {"bracket": [0.5, "0.9"]}),
         ("a1", {"no_timestamp": "no"}), ("a1", {"output_path": 1}),
-        ("a1", {"output_path": 7})])
+        ("a1", {"output_path": 7}), ("locate a1", {"bracket": [-np.inf, 1.0]}),
+        ("locate a1", {"tol": np.nan}), ("a1", {"params": [np.nan]})])
     def test_wrong_value_type(self, command, doc, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

@@ -5,7 +5,7 @@ from envcap.linalg import (
     bloch_density,
     bloch_state,
     check_density_matrix,
-    eigh2,
+    check_state_vector,
     eigvals2,
     entropy,
     haar_unitary,
@@ -144,11 +144,26 @@ def test_in_chunks_joins_slices():
 class TestHermEigvals:
     """``eigvals2``, the package's spectrum of Hermitian qubit operators."""
 
+    @staticmethod
+    def check_against_eigvalsh(m):
+        w = eigvals2(m)
+        assert w.shape == m.shape[:-1]
+        assert (w[..., 0] <= w[..., 1]).all()
+        assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
+
     def test_pauli_z(self):
         assert np.allclose(eigvals2(SZ), [-1.0, 1.0])
+        # diagonal and nearly diagonal, in either order
+        self.check_against_eigvalsh(np.array(
+            [SZ, np.diag([0.3, 0.7]), np.diag([0.7, 0.3]), [[0.5, 0.5j], [-0.5j, 0.5]],
+             [[1.0, 1e-9], [1e-9, 0.0]], [[0.0, 1e-9j], [-1e-9j, 1.0]]], dtype=complex))
 
     def test_maximally_mixed(self):
         assert np.allclose(eigvals2(maximally_mixed(2)), [0.5, 0.5])
+        # degenerate, and nearly scalar
+        self.check_against_eigvalsh(np.array(
+            [maximally_mixed(2), np.diag([-1.0, -1.0]), np.zeros((2, 2)),
+             [[1.0 - 2e-16, 1e-300], [1e-300, 1.0]]], dtype=complex))
 
     def test_quadratic_formula_oracle(self):
         rng = np.random.default_rng(17)
@@ -160,12 +175,16 @@ class TestHermEigvals:
             disc = np.sqrt(tr * tr / 4 - det)
             expected = np.sort([tr / 2 - disc, tr / 2 + disc])
             assert np.abs(eigvals2(h) - expected).max() < 1e-12
+            self.check_against_eigvalsh(h)
 
     def test_sum_is_trace(self):
         rng = np.random.default_rng(18)
         h = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
         h = h + h.conj().swapaxes(-1, -2)
         assert np.abs(eigvals2(h).sum(-1) - np.trace(h, axis1=-2, axis2=-1).real).max() < 1e-12
+        # a stack with leading axes
+        h = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+        self.check_against_eigvalsh(h + h.conj().swapaxes(-1, -2))
 
     def test_projector_spectrum(self):
         rng = np.random.default_rng(19)
@@ -195,6 +214,8 @@ class TestEntropy:
             entropy(np.diag([0.9, 0.3]))
         with pytest.raises(ValueError):
             entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(ValueError):
+            entropy(np.full((2, 2), np.nan))
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(21)
@@ -223,47 +244,6 @@ class TestBinaryEntropy:
             binary_entropy(x)
 
 
-class TestEigh2:
-    @staticmethod
-    def check_decomposition(m):
-        w, vecs = eigh2(m)
-        assert np.array_equal(w, eigvals2(m))
-        assert (w[..., 0] <= w[..., 1]).all()
-        assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
-        # columns are orthonormal eigenvectors: m v_j = w_j v_j
-        resid = m @ vecs - vecs * w[..., None, :]
-        assert np.abs(resid).max() < 1e-12
-        gram = np.swapaxes(vecs.conj(), -1, -2) @ vecs
-        assert np.abs(gram - np.eye(2)).max() < 1e-12
-
-    def test_random_complex_off_diagonal(self):
-        rng = np.random.default_rng(23)
-        h = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
-        self.check_decomposition(h + np.swapaxes(h.conj(), -1, -2))
-
-    def test_single_matrix(self):
-        rng = np.random.default_rng(24)
-        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        self.check_decomposition(h + h.conj().T)
-
-    def test_diagonal_and_degenerate(self):
-        ms = np.array([np.diag([0.3, 0.7]), np.diag([0.7, 0.3]), np.diag([-1.0, -1.0]),
-                       np.zeros((2, 2)), 0.5 * np.eye(2), [[0.5, 0.5j], [-0.5j, 0.5]],
-                       # nearly diagonal, either way round, and nearly scalar
-                       [[1.0, 1e-9], [1e-9, 0.0]], [[0.0, 1e-9j], [-1e-9j, 1.0]],
-                       [[1.0 - 2e-16, 1e-300], [1e-300, 1.0]]],
-                      dtype=complex)
-        self.check_decomposition(ms)
-
-    def test_leading_axes(self):
-        rng = np.random.default_rng(25)
-        h = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
-        h = h + np.swapaxes(h.conj(), -1, -2)
-        w, vecs = eigh2(h)
-        assert w.shape == (3, 4, 2) and vecs.shape == (3, 4, 2, 2)
-        self.check_decomposition(h)
-
-
 class TestStackedEntropy:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_matches_per_matrix(self, dim):
@@ -275,6 +255,12 @@ class TestStackedEntropy:
         assert stacked.shape == (2, 7)
         single = [entropy(r, validate=False) for r in rhos]
         assert np.abs(stacked.ravel() - single).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0]])
+def test_state_vector_validation(bad):
+    with pytest.raises(ValueError):
+        check_state_vector(bad)
 
 
 def test_bloch_density_validity():
