@@ -10,7 +10,6 @@ from .canonical import (
     MAGIC,
     SWAP,
     CanonicalParams,
-    DecompositionError,
     canonical_unitary,
     decompose_params,
     fold_to_fundamental,

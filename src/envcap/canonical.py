@@ -9,13 +9,15 @@ where
     l1 = (ax - ay + az)/2,   l2 = (-ax + ay + az)/2,
     l3 = -(ax + ay + az)/2,  l4 = (ax + ay - az)/2.
 
-Parameter extraction inverts this through the spectrum of U^T U taken in
-the magic basis, whose eigenvalues are e^{-2i l_k}.
+Parameter extraction folds the l_k read from the spectrum e^{-2i l_k} of
+T^T T, T the gate in the magic basis at unit determinant.  Slot order,
+branch, determinant root and conjugation only permute the angles, flip
+their signs or shift them by pi: the group :func:`fold_to_fundamental` reduces.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,20 +44,11 @@ CNOT = np.array([[1, 0, 0, 0],
                  [0, 0, 0, 1],
                  [0, 0, 1, 0]], dtype=complex)
 
-# Half-phases of gates in the fundamental tetrahedron lie in this window;
-# the ordering constraint below is the tetrahedron rewritten in l_k.
-_L_LO = -3 * np.pi / 4
-_L_HI = np.pi / 2
-
 
 class CanonicalParams(NamedTuple):
     alpha_x: float
     alpha_y: float
     alpha_z: float
-
-
-class DecompositionError(ValueError):
-    """No eigenphase assignment matched within tolerance."""
 
 
 def half_phases(params) -> np.ndarray:
@@ -86,76 +79,58 @@ def swap_power(gamma: float) -> BipartiteUnitary:
     return BipartiteUnitary(swap_power_matrix(gamma))
 
 
+def _finite_angles(params) -> tuple:
+    angles = tuple(float(a) for a in params)
+    if len(angles) != 3 or not all(map(math.isfinite, angles)):
+        raise ValueError(f"expected three finite angles, got {params!r}")
+    return angles
+
+
 def fold_to_fundamental(raw) -> CanonicalParams:
     """Reduce three raw angles into the fundamental tetrahedron.
 
     Each angle is taken mod pi, reflected into [0, pi/2], and the triple
     is sorted descending.  Both operations preserve the gate class up to
-    local unitaries and complex conjugation.
+    local unitaries and complex conjugation.  Raises ``ValueError``
+    unless ``raw`` holds exactly three finite angles.
     """
-    folded = (float(a) % np.pi for a in raw)
+    folded = (a % np.pi for a in _finite_angles(raw))
     return CanonicalParams(*sorted((np.pi - a if a > np.pi / 2 else a for a in folded),
                                    reverse=True))
 
 
-def decompose_params(u, tol: float = 1e-8) -> CanonicalParams:
+def decompose_params(u) -> CanonicalParams:
     """Canonical angles of a two-qubit gate.
 
     The returned point is invariant under single-qubit unitaries applied
     before and after the gate, and identifies the gate with its complex
-    conjugate.  Raises :class:`DecompositionError` when no eigenphase
-    assignment satisfies the tetrahedron constraints within ``tol``
-    (numerically degenerate input).
+    conjugate.  It is the fold of the magic-basis half-phases, in closed
+    form; a non-unitary ``u`` raises ``ValueError``.
     """
     m = as_two_qubit(u).matrix
     t = MAGIC.conj().T @ m @ MAGIC
     t = t / np.linalg.det(t) ** 0.25
-    eig = np.linalg.eigvals(t.T @ t)
-    eig = eig / np.abs(eig)
-    solutions = []
-    # The determinant root leaves a global sign on the spectrum, and gates
-    # may match a canonical point only after complex conjugation; try all
-    # four combinations.
-    for spectrum in (eig, eig.conj()):
-        for gauge in (1.0, -1.0):
-            base = -np.angle(gauge * spectrum) / 2  # half-phases known mod pi
-            candidates = []
-            for b in base:
-                candidates.append([b + k * np.pi for k in (-1, 0, 1)
-                                   if _L_LO - tol <= b + k * np.pi <= _L_HI + tol])
-            for pick in itertools.product(*candidates):
-                if abs(sum(pick)) > max(tol, 1e-10):
-                    continue
-                v = sorted(pick, reverse=True)
-                l4, l1, l2, l3 = v  # descending order fixes the slot assignment
-                ax, ay, az = l1 + l4, l2 + l4, l1 + l2
-                if (-tol <= az <= ay + tol and ay <= ax + tol
-                        and ax <= np.pi / 2 + tol):
-                    solutions.append((ax, ay, az))
-    if not solutions:
-        raise DecompositionError(
-            "no eigenphase assignment satisfies the tetrahedron constraints")
-    best = min(solutions)
-    clipped = np.clip(np.array(best), 0.0, np.pi / 2)
-    return CanonicalParams(*np.sort(clipped)[::-1])
+    l1, l2, _, l4 = -np.angle(np.linalg.eigvals(t.T @ t)) / 2  # each known mod pi
+    return fold_to_fundamental((l1 + l4, l2 + l4, l1 + l2))
 
 
 def in_antidegradable_region(params, tol: float = 1e-12) -> bool:
     """Whether every induced channel of the gate is anti-degradable.
 
     Characterized by ax + ay, ay + az, az + ax >= pi/2 inside the
-    fundamental tetrahedron.
+    fundamental tetrahedron.  Raises ``ValueError`` unless ``params``
+    holds exactly three finite angles.
     """
-    ax, ay, az = params
+    ax, ay, az = _finite_angles(params)
     cut = np.pi / 2 - tol
     return bool(ax + ay >= cut and ay + az >= cut and az + ax >= cut)
 
 
-def in_degradable_region(params, tol: float = 1e-12) -> bool:
+def in_degradable_region(params) -> bool:
     """Whether every induced channel of the gate is degradable: exactly when
     swapping its outputs gives a universally anti-degradable gate.  In the
     magic basis, where canonical gates are diagonal, SWAP = e^{i pi/4}
     U(pi/2, pi/2, pi/2), so the swapped gate is U(params + pi/2).
     """
     shifted = np.asarray(params, dtype=float) + np.pi / 2
-    return in_antidegradable_region(fold_to_fundamental(shifted), tol=max(tol, 1e-9))
+    return in_antidegradable_region(fold_to_fundamental(shifted), tol=1e-9)

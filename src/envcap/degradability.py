@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -43,9 +42,9 @@ _OUTPUTS = np.concatenate([np.einsum("iab,cd->iacbd", _PAULI[1:], np.eye(2)),
 #: so that vec(W) @ _INPUTS holds Tr(W sigma_j (x) sigma_k) / 4.
 _INPUTS = 0.25 * np.einsum("jab,kcd->jkbdac", _PAULI[1:], _PAULI).reshape(12, 16).T
 #: The cubic's monomials r~_k r~_l r~_m, k <= l <= m; (64, 20) sums ordered triples into them.
-_TRIPLES = list(itertools.combinations_with_replacement(range(4), 3))
+_TRIPLES = [t for t in np.ndindex(4, 4, 4) if t == tuple(sorted(t))]
 _SYMMETRIZE = np.array([[tuple(sorted(t)) == c for c in _TRIPLES]
-                        for t in itertools.product(range(4), repeat=3)], dtype=float)
+                        for t in np.ndindex(4, 4, 4)], dtype=float)
 _LEVI_CIVITA = np.fromfunction(lambda i, j, k: (j - i) * (k - i) * (k - j) / 2, (3, 3, 3))
 
 

@@ -20,6 +20,8 @@ helpers that only tests need:
   anti-degradability criterion (:func:`is_antidegradable_choi`);
 * the degradability index as det T_N - det T_Nc by Pauli traces
   (:func:`bloch_determinant_index`);
+* the local invariants of a gate from traces alone, the oracle of the
+  canonical-parameter extraction (:func:`makhlin_invariants`);
 * the jammer's coherent information through a purification of the input,
   affine in the environment's Bloch vector (:func:`jammer_affine`,
   :func:`jammer_ic`), the objective of the nested max-min search
@@ -286,12 +288,27 @@ def b2_best_over_theta(t: float, extra_grid: int = 33) -> tuple[float, float]:
     return vals[i], thetas[i]
 
 
-def in_degradable_region_by_swap(params, tol: float = 1e-12) -> bool:
+def in_degradable_region_by_swap(params) -> bool:
     """Universal degradability by composing the gate with SWAP and extracting
     the canonical angles of the product numerically."""
     swapped = SWAP @ canonical_unitary(params).matrix
     folded = fold_to_fundamental(decompose_params(swapped))
-    return in_antidegradable_region(folded, tol=max(tol, 1e-9))
+    return in_antidegradable_region(folded, tol=1e-9)
+
+
+#: Makhlin's magic basis, kept apart from ``envcap.canonical.MAGIC``.
+MAKHLIN_Q = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
+
+
+def makhlin_invariants(u) -> tuple[complex, complex]:
+    """The local invariants (G1, G2) of a two-qubit gate (Makhlin, "Nonlocal
+    properties of two-qubit gates and mixed states", 2002), from traces of
+    m = U_B^T U_B with U_B the gate in Makhlin's magic basis; no eigenphase
+    enters.  G2 is real, and complex conjugation of the gate conjugates both."""
+    ub = MAKHLIN_Q.conj().T @ as_two_qubit(u).matrix @ MAKHLIN_Q
+    m = ub.T @ ub
+    det, tr = np.linalg.det(ub), np.trace(m)
+    return tr ** 2 / (16 * det), (tr ** 2 - np.trace(m @ m)) / (4 * det)
 
 
 def same_bits(a, b) -> bool:

@@ -16,7 +16,14 @@ from envcap.canonical import (
     swap_power_matrix,
 )
 from envcap.linalg import haar_unitary
-from oracles import DCNOT, in_degradable_region_by_swap, region_points, same_bits, tensor
+from oracles import (
+    DCNOT,
+    in_degradable_region_by_swap,
+    makhlin_invariants,
+    region_points,
+    same_bits,
+    tensor,
+)
 
 PI = np.pi
 
@@ -29,6 +36,22 @@ def dressed(u, rng):
 
 def random_tetrahedron_point(rng):
     return tuple(np.sort(rng.uniform(0.0, PI / 2, 3))[::-1])
+
+
+def boundary_points(rng, n=10):
+    """Points on the faces ax = ay, ay = az, az = 0 and ax = pi/2, on the
+    six edges, and the four vertices of the tetrahedron."""
+    pts = []
+    for _ in range(n):
+        a, b, c = random_tetrahedron_point(rng)
+        pts += [(a, a, c), (a, b, b), (a, b, 0.0), (PI / 2, b, c),
+                (a, a, a), (a, a, 0.0), (a, 0.0, 0.0),
+                (PI / 2, b, 0.0), (PI / 2, b, b), (PI / 2, PI / 2, c)]
+    return pts + [(0.0, 0.0, 0.0), (PI / 2, 0.0, 0.0), (PI / 2, PI / 2, 0.0), (PI / 2,) * 3]
+
+
+BAD_ANGLES = [(np.nan, 0.0, 0.0), (np.inf, 0.1, 0.0), (0.1, -np.inf, 0.0), (1.0, 2.0),
+              (0.1, 0.2, 0.3, 0.4)]
 
 
 class TestMagicBasis:
@@ -118,10 +141,22 @@ class TestDecompose:
 
     def test_roundtrip_with_local_dressing(self):
         rng = np.random.default_rng(54)
-        for _ in range(50):
-            p = random_tetrahedron_point(rng)
-            got = decompose_params(dressed(canonical_unitary(p).matrix, rng))
-            assert np.abs(np.array(got) - np.array(p)).max() < 1e-8
+        points = [random_tetrahedron_point(rng) for _ in range(50)] + boundary_points(rng)
+        for p in points:
+            u = dressed(canonical_unitary(p).matrix, rng)
+            for gate in (u, u.conj()):
+                got = decompose_params(gate)
+                assert np.abs(np.array(got) - np.array(p)).max() < 1e-8, p
+
+    def test_local_invariants_of_the_canonical_point(self):
+        # Makhlin's G1 (up to conjugation) and G2 come from traces alone
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            u = haar_unitary(4, rng)
+            g1, g2 = makhlin_invariants(u)
+            h1, h2 = makhlin_invariants(canonical_unitary(decompose_params(u)))
+            assert min(abs(g1 - h1), abs(g1 - np.conj(h1))) < 1e-12
+            assert abs(g2 - h2) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.1, 0.37, 0.5, 0.62, 0.9])
     def test_swap_power_line(self, gamma):
@@ -151,6 +186,17 @@ class TestFold:
         q = decompose_params(canonical_unitary((PI + 0.1, 0.0, 0.0)))
         assert np.abs(np.array(p) - np.array(q)).max() < 1e-9
 
+    def test_extraction_is_the_fold_of_raw_angles(self):
+        rng = np.random.default_rng(56)
+        for raw in rng.uniform(-2 * PI, 2 * PI, (200, 3)):
+            got = decompose_params(canonical_unitary(raw))
+            assert np.abs(np.array(got) - np.array(fold_to_fundamental(raw))).max() < 1e-12, raw
+
+    @pytest.mark.parametrize("raw", BAD_ANGLES)
+    def test_rejects_anything_but_three_finite_angles(self, raw):
+        with pytest.raises(ValueError):
+            fold_to_fundamental(raw)
+
 
 class TestRegions:
     def test_antidegradable_examples(self):
@@ -163,6 +209,13 @@ class TestRegions:
         assert in_degradable_region((0.0, 0.0, 0.0))
         assert in_degradable_region((PI / 2, 0.0, 0.0))
         assert not in_degradable_region((PI / 2, PI / 2, PI / 2))
+
+    @pytest.mark.parametrize("params", BAD_ANGLES)
+    def test_rejects_anything_but_three_finite_angles(self, params):
+        with pytest.raises(ValueError):
+            in_antidegradable_region(params)
+        with pytest.raises(ValueError):
+            in_degradable_region(params)
 
     def test_sqrt_swap_unique_intersection(self):
         # on an exact pi/8 lattice of the tetrahedron only the midpoint
