@@ -14,8 +14,8 @@ this module provides:
   closed form at the maximally mixed input and environment, bracketed
   above by the input maximum of that one channel,
 * coherent information of two gates run in parallel on an entangled
-  environment (five-qubit pure-state computation, stacked over gate
-  pairs), and
+  environment (five-qubit output state read off the gates' columns, no
+  32 x 32 matrix, stacked over gate pairs), and
 * the entangled-helper capacity of the fractional swaps, maximized over
   a closed-form objective.
 """
@@ -34,14 +34,13 @@ from .degradability import (
     bloch_sphere_grid,
 )
 from .linalg import (
+    ENTROPY_EIG_FLOOR,
     bloch_density,
     bloch_state,
     check_density_matrix,
     entropy,
-    entropy_from_eigvals,
     in_chunks,
     maximally_entangled,
-    partial_trace,
     projector,
 )
 
@@ -58,8 +57,8 @@ _CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
 #: Seed of the random restart points drawn by :func:`max_coherent_info`.
 _RESTART_SEED = 1234
 
-#: Gates per stacked two-copy evaluation; bounds its (n, 32, 32) temporaries.
-_TWO_COPY_CHUNK = 32
+#: Gate pairs per stacked two-copy evaluation; bounds its (n, 4, 4, 8) temporaries.
+_TWO_COPY_CHUNK = 256
 
 #: Nelder-Mead reflection, expansion, outside and inside contraction as
 #: a * centroid - c * worst vertex, in scipy's arithmetic: rows (a, c).
@@ -442,27 +441,32 @@ def two_copy_curve(w, v, theta: float | None = None):
     maximally entangled pairs on E'E and AR; at ``theta``, |1> on A', the
     pair on E'E, and sqrt(theta)|00> + sqrt(1-theta)|11> on AR.  The
     global state is (W (x) V (x) I_R) applied to them, with wires ordered
-    A', E', A, E, R at the input and B', F', B, F, R at the output.
+    A', E', A, E, R at the input and B', F', B, F, R at the output.  No
+    32 x 32 matrix is formed, and the values are those of the Kronecker
+    product route bit for bit where each output amplitude is one product,
+    as with the canonical and swap-power gates of the curves; generic
+    pairs agree with it to round-off (a few 1e-15).
     """
     if theta is None:
-        aprime, inp = np.array([1, 0], complex), maximally_entangled(2)
+        a, inp = 0, maximally_entangled(2)
     elif 0.0 <= theta <= 1.0:
-        aprime = np.array([0, 1], complex)
-        inp = np.array([np.sqrt(theta), 0, 0, np.sqrt(1.0 - theta)], complex)
+        a, inp = 1, np.array([np.sqrt(theta), 0, 0, np.sqrt(1.0 - theta)], complex)
     else:
         raise ValueError("theta must lie in [0, 1]")
-    psi = np.kron(np.kron(aprime, maximally_entangled(2)), inp)
-    # input factors arrive as A', E', E, A, R; the gates act on (A',E'), (A,E)
-    psi = psi.reshape(2, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(32)
+    psi = np.kron(np.kron(np.eye(2, dtype=complex)[a], maximally_entangled(2)), inp)
+    # input factors arrive as A', E', E, A, R; only |a, e, e, r, r> has amplitude p[e, r]
+    p = psi.reshape(2, 2, 2, 2, 2)[a].diagonal(0, 0, 1).diagonal(0, 0, 1)
 
-    def stack(w, v):  # np.kron(np.kron(w, v), I_2) over (n, 4, 4) stacks
-        wv = (w[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
-        g = (wv[:, :, None, :, None] * np.eye(2, dtype=complex)[:, None, :]).reshape(-1, 32, 32)
-        out = projector(g @ psi)
-        dims = (2, 2, 2, 2, 2)
-        rho_bb = partial_trace(out, dims, keep=(0, 2))
-        rho_ff = partial_trace(out, dims, keep=(1, 3))
-        return entropy(rho_bb, validate=False) - entropy(rho_ff, validate=False)
+    def reduced(phi, order):  # order: the kept wires, then F' or B', F or B, R
+        x = phi.reshape(-1, 2, 2, 2, 2, 2).transpose(0, *order).reshape(-1, 4, 8)
+        q = x[:, :, None] * x.conj()[:, None]
+        while q.shape[-1] > 1:  # partial_trace's sums: R, then the inner, then the outer wire
+            q = q[..., ::2] + q[..., 1::2]
+        return entropy(q[..., 0], validate=False)
+
+    def stack(w, v):  # phi[b'f', bf, r] = sum_e W[b'f', (a, e)] V[bf, (r, e)] p[e, r]
+        phi = (w[:, :, None, None, 2 * a:2 * a + 2] * v.reshape(-1, 1, 4, 2, 2) * p.T).sum(-1)
+        return reduced(phi, (1, 3, 2, 4, 5)) - reduced(phi, (2, 4, 1, 3, 5))
 
     w, v = np.broadcast_arrays(np.asarray(w, complex), np.asarray(v, complex))
     vals = in_chunks(stack, _TWO_COPY_CHUNK, w.reshape(-1, 4, 4), v.reshape(-1, 4, 4))
@@ -505,31 +509,39 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
 # entangled helper
 # ---------------------------------------------------------------------------
 
-def _helper_terms(gamma, lam, mu):
-    """Closed-form entries of the entangled-helper outputs: the diagonal of
-    rho_hb, its |00><11| coherence as root * z, and the diagonal of rho_f."""
-    stay = np.cos(np.pi * gamma / 2) ** 2
-    hop = np.sin(np.pi * gamma / 2) ** 2
-    p00 = lam * (mu + (1 - mu) * hop)
-    p11 = (1 - lam) * ((1 - mu) + mu * hop)
-    root = np.sqrt(np.maximum(lam * (1 - lam), 0.0))
-    z = (0.5 - mu / 2 * np.exp(-1j * np.pi * gamma)
-         - (1 - mu) / 2 * np.exp(1j * np.pi * gamma))
-    p01 = lam * (1 - mu) * stay
-    p10 = mu * (1 - lam) * stay
-    f0 = lam * mu + lam * (1 - mu) * stay + mu * (1 - lam) * hop
-    f1 = (1 - lam) * (1 - mu) + lam * (1 - mu) * hop + mu * (1 - lam) * stay
+def _swap_factors(gamma):
+    """cos^2 and sin^2 of pi gamma / 2, then e^{-i pi gamma} and e^{i pi gamma}."""
+    return (np.cos(np.pi * gamma / 2) ** 2, np.sin(np.pi * gamma / 2) ** 2,
+            np.exp(-1j * np.pi * gamma), np.exp(1j * np.pi * gamma))
+
+
+def _helper_terms(factors, lam, mu):
+    """The diagonal of rho_hb, its |00><11| coherence as root * z and the diagonal
+    of rho_f: the entangled-helper outputs at the :func:`_swap_factors` of gamma."""
+    stay, hop, down, up = factors
+    lam1, mu1 = 1 - lam, 1 - mu
+    p00 = lam * (mu + mu1 * hop)
+    p11 = lam1 * (mu1 + mu * hop)
+    root = np.sqrt(np.maximum(lam * lam1, 0.0))
+    z = 0.5 - mu / 2 * down - mu1 / 2 * up
+    p01 = lam * mu1 * stay
+    p10 = mu * lam1 * stay
+    f0 = lam * mu + p01 + mu * lam1 * hop
+    f1 = lam1 * mu1 + lam * mu1 * hop + p10
     return (p00, p01, p10, p11), root, z, (f0, f1)
 
 
-def _helper_objective(gamma, lam, mu):
-    """Vectorized entropy difference of the closed-form output states."""
-    (p00, p01, p10, p11), root, z, f = _helper_terms(
-        gamma, np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+def _helper_objective(factors, lam, mu):
+    """Vectorized entropy difference of the closed-form outputs at :func:`_swap_factors`."""
+    (p00, p01, p10, p11), root, z, (f0, f1) = _helper_terms(
+        factors, np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     half = (p00 + p11) / 2
     r = np.sqrt(((p00 - p11) / 2) ** 2 + (root * np.abs(z)) ** 2)
-    return (entropy_from_eigvals(np.stack([half + r, half - r, p01, p10], -1))
-            - entropy_from_eigvals(np.stack(f, -1)))
+    w = np.empty((6,) + half.shape)  # the spectra of rho_hb and rho_f
+    w[0], w[1], w[2], w[3], w[4], w[5] = half + r, half - r, p01, p10, f0, f1
+    keep = w > ENTROPY_EIG_FLOOR  # -w log2 w as in entropy_from_eigvals
+    h = np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0)
+    return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
 
 
 def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -547,10 +559,11 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
     n = opts.grid
     xs = np.linspace(0.0, 1.0, n)
     lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
-    vals = _helper_objective(gamma, lam_g, mu_g)
+    factors = _swap_factors(gamma)
+    vals = _helper_objective(factors, lam_g, mu_g)
     i = np.unravel_index(int(np.argmax(vals)), vals.shape)
     starts = [[lam_g[i], mu_g[i]]] + [[0.5, m] for m0 in _CORNER_SEEDS for m in (m0, 1.0 - m0)]
-    z, raw, record = _maximize(lambda z: _helper_objective(gamma, *np.clip(z, 0.0, 1.0).T),
+    z, raw, record = _maximize(lambda z: _helper_objective(factors, *np.clip(z, 0.0, 1.0).T),
                                starts, max(0.5 / (n - 1), 2e-5), 1e-5, opts.max_iters,
                                best=(starts[0], float(vals[i])))
     value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0

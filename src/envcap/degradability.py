@@ -142,8 +142,15 @@ def _cubic_coefficients(m: np.ndarray) -> np.ndarray:
     r~_k r~_l r~_m det(row 0 of A_k, row 1 of A_l, row 2 of A_m)."""
     a = _transfer_terms(m)
     p = np.einsum("abc,nsak,nsbl,nscm->nsklm", _LEVI_CIVITA, a[:, :, 0], a[:, :, 1], a[:, :, 2],
-                  optimize=True)
+                  optimize=_cubic_path(len(m)))
     return (p[:, 0] - p[:, 1]).reshape(-1, 64) @ _SYMMETRIZE
+
+
+@functools.lru_cache(maxsize=4)
+def _cubic_path(n: int) -> list:
+    """The path ``optimize=True`` searches for on every einsum call, at n gates."""
+    return np.einsum_path("abc,nsak,nsbl,nscm->nsklm", _LEVI_CIVITA, *[np.empty((n, 2, 3, 4))] * 3,
+                          optimize="greedy")[0]
 
 
 @functools.lru_cache(maxsize=4)

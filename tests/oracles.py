@@ -40,7 +40,7 @@ from envcap.canonical import (
     fold_to_fundamental,
     in_antidegradable_region,
 )
-from envcap.capacity import _helper_terms, _maximize, coherent_info
+from envcap.capacity import _helper_terms, _maximize, _swap_factors, coherent_info
 from envcap.channels import (
     KRAUS_WEIGHT_FLOOR,
     BipartiteUnitary,
@@ -149,7 +149,7 @@ def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
     """
     if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
         raise ValueError("lam and mu must lie in [0, 1]")
-    diag_hb, root, z, diag_f = _helper_terms(gamma, lam, mu)
+    diag_hb, root, z, diag_f = _helper_terms(_swap_factors(gamma), lam, mu)
     rho_hb = np.diag(diag_hb).astype(complex)
     rho_hb[0, 3], rho_hb[3, 0] = root * z, root * np.conj(z)
     return rho_hb, np.diag(diag_f).astype(complex)

@@ -2,10 +2,11 @@
 
 The benchmark reaches envcap by name (``envcap.haar_unitary``,
 ``capacity.minimize``, ``degradability.degradability_index`` on raw
-matrices, ...).  These tests build its workloads, run the jammer items
-against ``perfbench/refs.json``, compare the index kernel with its scalar
-path and patch the tracer in and out, so a cleanup that removes a name
-the benchmark uses fails here.
+matrices, ...).  These tests build its workloads, run the jammer and
+tables items against ``perfbench/refs.json``, compare the index kernel
+with its scalar path and patch the tracer in and out, so a cleanup that
+removes a name the benchmark uses, or changes a table's digest, fails
+here.
 """
 
 import importlib
@@ -45,6 +46,13 @@ def test_every_workload_builds_with_passing_checks(bench, refs, tmp_path):
 def test_jammer_items_match_their_references(bench, refs, tmp_path):
     workloads, _ = bench
     items, _ = workloads.build("jammer_gates", 1, refs, tmp_path)
+    for item in items:
+        assert item.check(item.call()) is None, item.label
+
+
+def test_table_items_match_their_references(bench, refs, tmp_path):
+    workloads, _ = bench
+    items, _ = workloads.build("tables", 1, refs, tmp_path)
     for item in items:
         assert item.check(item.call()) is None, item.label
 

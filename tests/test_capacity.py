@@ -41,8 +41,10 @@ from oracles import (
     maximally_mixed,
     random_density_matrix,
     random_pure_state,
+    same_bits,
     swap_power_helper_outputs,
     tensor,
+    two_copy_by_kron,
     two_copy_output,
 )
 
@@ -454,6 +456,33 @@ class TestTwoCopy:
             got = two_copy_curve(g.matrix, g.matrix, theta)
             assert got == pytest.approx(expected, abs=1e-10)
             assert got > 1e-3
+
+    def test_stack_past_a_chunk_equals_single_pairs(self):
+        rng = np.random.default_rng(15)
+        n = capacity._TWO_COPY_CHUNK + 37  # two chunks, the second one partial
+        w = np.stack([haar_unitary(4, rng) for _ in range(n)])
+        v = np.stack([haar_unitary(4, rng) for _ in range(n)])
+        for theta in (None, 0.3):
+            vals = two_copy_curve(w, v, theta)
+            assert vals.shape == (n,)
+            for val, a, b in zip(vals, w, v):
+                assert same_bits(val, two_copy_curve(a, b, theta))
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0 ** -10])
+    def test_q2_family_matches_kronecker_bits(self, theta):
+        # canonical gates have structural zeros: each amplitude is one product
+        for t in np.linspace(0.0, 1.0, 9):
+            g = canonical_unitary(dict(A3_FAMILIES)["q2"](t)).matrix
+            assert same_bits(two_copy_curve(g, g, theta),
+                             np.float64(two_copy_by_kron(g, g, theta)))
+
+    def test_haar_pairs_match_kronecker_to_round_off(self):
+        rng = np.random.default_rng(20)
+        w = np.stack([haar_unitary(4, rng) for _ in range(20)])
+        v = np.stack([haar_unitary(4, rng) for _ in range(20)])
+        for theta in (None, 0.5):
+            want = [two_copy_by_kron(a, b, theta) for a, b in zip(w, v)]
+            assert np.abs(two_copy_curve(w, v, theta) - want).max() <= 1e-14
 
     def test_helper_sharing_equivalence(self):
         # swapping in the primed slot hands the helper's entanglement to
