@@ -7,9 +7,9 @@ this module provides:
 
 * the maximum over inputs for a fixed channel (Bloch-ball simplex search),
 * the maximum over environment states and inputs for a two-qubit gate
-  (the separable-helper capacity): a bracketed 1-d search for gates that
-  commute with every u (x) u, such as the swap powers, and a grid-seeded
-  simplex search for the rest,
+  (the separable-helper capacity): the amplitude-damping capacity in closed
+  form for gates that commute with every u (x) u, such as the swap powers,
+  and a grid-seeded simplex search for the rest,
 * the max-min value against an adversarial environment (single copy), in
   closed form at the maximally mixed input and environment, bracketed
   above by the input maximum of that one channel,
@@ -248,9 +248,6 @@ _COLLECTIVE = [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s)
 
 _KET0 = np.array([1, 0], dtype=complex)
 
-#: 1/phi, the golden-section ratio.
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 def _swap_symmetric(v: BipartiteUnitary) -> bool:
     """Whether ``v`` commutes with every u (x) u: with the three collective
@@ -259,93 +256,48 @@ def _swap_symmetric(v: BipartiteUnitary) -> bool:
     return all(np.abs(m @ g - g @ m).max() <= 1e-12 for g in _COLLECTIVE)
 
 
-def _golden_max(f, tol: float, max_iters: int):
-    """Golden-section search for the maximum of a concave ``f`` on [0, 1],
-    until the bracket is ``tol`` wide or after ``max_iters`` steps.
-
-    Returns the final points a < c < d < b, their values and the steps.
-    """
-    a, c, d, b = 0.0, 1.0 - _INV_PHI, _INV_PHI, 1.0
-    fa, fc, fd, fb = map(f, (a, c, d, b))
-    steps = 0
-    while b - a > tol and steps < max_iters:
-        if fc >= fd:  # the maximum lies in [a, d]
-            b, fb, d, fd = d, fd, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:  # in [c, b]
-            a, fa, c, fc = c, fc, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        steps += 1
-    return np.array([a, c, d, b]), np.array([fa, fc, fd, fb]), steps
-
-
-def _concave_upper(x: np.ndarray, y: np.ndarray) -> float:
-    """Upper bound on [0, 1] of a concave function with values ``y`` at the
-    increasing points ``x``.
-
-    Outside each gap between neighbouring points the gap's secant bounds
-    the function from above, so it lies under the least of the secants
-    whose closed gaps do not hold the point.  That envelope peaks at a
-    point, at 0 or 1, or where two secants cross: in the middle gap, where
-    the outer chords do.
-    """
-    slope = np.diff(y) / np.diff(x)
-    i, j = np.triu_indices(slope.size, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (y[j] - y[i] + slope[i] * x[i] - slope[j] * x[j]) / (slope[i] - slope[j])
-    t = np.concatenate([[0.0, 1.0], x, cross[(cross >= 0.0) & (cross <= 1.0)]])[:, None]
-    lines = y[:-1] + slope * (t - x[:-1])
-    inside = (x[:-1] <= t) & (t <= x[1:])
-    return float(np.where(inside, np.inf, lines).min(axis=1).max())
-
-
-def _symmetric_helper_capacity(v: BipartiteUnitary, opts: OptimizerOptions) -> CapacityResult:
+def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
     """Separable-helper capacity of a gate that commutes with every u (x) u,
-    certified by a bracket.
+    in closed form.
 
     Every pure environment u|0> gives the channel rho -> u N(u^dag rho u) u^dag
-    of N = N_{|0>}, so |0> is the only environment to evaluate.  N is
-    z-covariant, and where it is degradable I_c is concave in the input,
-    so the dephased input diag(q, 1 - q) does at least as well as rho: the
-    capacity is the maximum over q of a concave function, found by golden
-    section and bounded above by :func:`_concave_upper`.  Anti-degradable
-    and symmetric N give exactly zero.
+    of N = N_{|0>}, so |0> is the only environment to evaluate.  The gate is
+    aI + bSWAP, and N is amplitude damping of |1> with p = |<01|V|10>|^2, up
+    to a unitary on the output.  Anti-degradable and symmetric N (p >= 1/2)
+    give exactly zero.  Otherwise N is degradable, and its capacity is the
+    maximum over the |1> population q of the concave
+    f(q) = h((1 - p) q) - h(p q) (Giovannetti & Fazio, 2005): the root of
+    f' by bisection to float resolution, valued by :func:`coherent_info`.
+    Concavity bounds the maximum by f(q) + |f'(q)|, the ``bracket``.
     """
+    p = float(abs(v.matrix[1, 2]) ** 2)
     degradable = bool(batch_degradability_index(v, _KET0[None])[0] > SYMMETRIC_TOL)
-    diag = {"n_degradable": int(degradable), "n_grid": 1}
+    diag = {"n_degradable": int(degradable), "n_grid": 1, "damping": p, **_record([], 0, 0)}
     if not degradable:
-        return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, "bracket": (0.0, 0.0),
-                                                **_record([], 0, 0)})
-    kraus = batch_effective_kraus(v, _KET0)
+        return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, "bracket": (0.0, 0.0)})
 
-    def diagonal(q):
-        return bloch_density(np.array([0.0, 0.0, 2 * q - 1]))
+    def slope(q):  # f'(q) in nats, logs taken apart: tiny p neither underflows nor rounds off
+        return ((1 - p) * (np.log(1 - q + p * q) - np.log1p(-p) - np.log(q))
+                - p * (np.log1p(-p * q) - np.log(p) - np.log(q)))
 
-    x, y, steps = _golden_max(lambda q: float(_coherent_info(kraus, diagonal(q))),
-                              opts.tol, opts.max_iters)
-    best = int(np.argmax(y))
-    raw = float(y[best])
+    q = 0.5 if p == 0.0 else find_zero_crossing(slope, 1e-300, 1.0, 1e-300)
+    rho = bloch_density(np.array([0.0, 0.0, 1.0 - 2.0 * q]))  # diag(1 - q, q)
+    raw = float(_coherent_info(batch_effective_kraus(v, _KET0), rho))
     value = max(0.0, raw)
-    return CapacityResult(
-        value,
-        argmax_input=diagonal(x[best]),
-        argmax_env=_KET0,
-        diagnostics={**diag, "raw_value": raw,
-                     "bracket": (value, max(value, _concave_upper(x, y))),
-                     **_record([raw], 4 + steps, int(x[3] - x[0] <= opts.tol))},
-    )
+    gap = float(abs(slope(q)) / np.log(2)) if p else 0.0
+    return CapacityResult(value, argmax_input=rho, argmax_env=_KET0,
+                          diagnostics={**diag, "raw_value": raw, "bracket": (value, value + gap)})
 
 
 def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Capacity of a two-qubit gate with a product-state helper.
 
     A gate that commutes with every u (x) u, as the swap powers and the
-    gates (a, a, a) do, reduces to a concave 1-d problem, solved by
-    :func:`_symmetric_helper_capacity` with a certified ``bracket`` in the
-    diagnostics; its argmax is in the caller's frame.  Every other gate,
-    locally dressed copies of those included, takes the search.
+    gates (a, a, a) do, acts as an amplitude-damping channel, whose capacity
+    :func:`_symmetric_helper_capacity` gives in closed form with a certified
+    ``bracket`` in the diagnostics, from no optimizer call; its argmax is in
+    the caller's frame.  Every other gate, locally dressed copies of those
+    included, takes the search.
 
     The search scans a (theta, phi) grid of pure environment states; points whose
     induced channel is anti-degradable or symmetric contribute zero and
@@ -361,7 +313,7 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
                          "grid 2 holds only the poles |0> and |1>")
     v = as_two_qubit(v)
     if _swap_symmetric(v):
-        return _symmetric_helper_capacity(v, opts)
+        return _symmetric_helper_capacity(v)
     etas, thetas, phis = bloch_sphere_grid(opts.grid, opts.grid)
     idx = batch_degradability_index(v, etas)
     mask = idx > SYMMETRIC_TOL
@@ -406,7 +358,8 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
 
     with J >= 0 because a pure input gives zero.  The value max(0, L) is
     exact: L is :func:`coherent_info` of the channel N_{I/2}, whose
-    canonical complement has the spectrum of rho_RB.  U is the
+    canonical complement has the spectrum of rho_RB, and is reported as
+    ``raw_value``, before the clamp.  U is the
     :func:`max_coherent_info` estimate of that channel, so the bracket
     ``(value, U)`` in the diagnostics, reported with U's restart record,
     is certified only from below.  The argmax is (I/2, I/2) when L > 0,
@@ -422,7 +375,7 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
         value=value,
         argmax_input=mixed if low > 0 else projector(np.array([1, 0], complex)),
         argmax_env=mixed,
-        diagnostics={**upper.diagnostics, "raw_value": value,
+        diagnostics={**upper.diagnostics, "raw_value": low,
                      "bracket": (value, upper.value)},
     )
 

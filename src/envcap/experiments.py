@@ -264,7 +264,7 @@ COMMANDS = {
     "a3": Command(_a3_rows, _OUTPUT | {"grid"}),
     "b1": Command(_curve_rows(b1_curve, "m"), _OUTPUT | {"grid"}),
     "b2": Command(_b2_rows, _OUTPUT | {"grid", "params"}),
-    "eh_swap": Command(_eh_swap_rows, _OUTPUT | {"grid", "tol"}),
+    "eh_swap": Command(_eh_swap_rows, _OUTPUT | {"grid"}),
     "region_scan": Command(_region_scan_rows, _OUTPUT | {"grid"}, grid=9),
     "classify": Command(_classify_rows, _OUTPUT | {"grid", "params"}, grid=32),
     "qhtens": Command(_qhtens_rows, _OUTPUT | {"grid", "tol", "params"}),

@@ -25,7 +25,11 @@ helpers that only tests need:
 * the jammer's coherent information through a purification of the input,
   affine in the environment's Bloch vector (:func:`jammer_affine`,
   :func:`jammer_ic`), the objective of the nested max-min search
-  :func:`jammer_search`.
+  :func:`jammer_search`;
+* the separable-helper capacity of a swap-symmetric gate by golden
+  section over diagonal inputs, bracketed by the concave upper envelope
+  of its last points (:func:`golden_max`, :func:`concave_upper`,
+  :func:`symmetric_helper_by_golden`).
 """
 
 from __future__ import annotations
@@ -274,6 +278,64 @@ def jammer_search(v, eta_grid_n: int = 17, rho_grid_n: int = 9, max_iters: int =
     x, val, _ = _maximize(lambda rs: np.array([inner_min(r) for r in rs]), [rho_grid[i0]],
                           0.2, 1e-6, max(60, max_iters // 4))
     return float(val), _clip_ball(x), argmins[x.tobytes()]
+
+
+#: 1/phi, the golden-section ratio.
+INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, tol: float, max_iters: int):
+    """Golden-section search for the maximum of a concave ``f`` on [0, 1],
+    until the bracket is ``tol`` wide or after ``max_iters`` steps.
+
+    Returns the final points a < c < d < b and their values.
+    """
+    a, c, d, b = 0.0, 1.0 - INV_PHI, INV_PHI, 1.0
+    fa, fc, fd, fb = map(f, (a, c, d, b))
+    for _ in range(max_iters):
+        if b - a <= tol:
+            break
+        if fc >= fd:  # the maximum lies in [a, d]
+            b, fb, d, fd = d, fd, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = f(c)
+        else:  # in [c, b]
+            a, fa, c, fc = c, fc, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = f(d)
+    return np.array([a, c, d, b]), np.array([fa, fc, fd, fb])
+
+
+def concave_upper(x: np.ndarray, y: np.ndarray) -> float:
+    """Upper bound on [0, 1] of a concave function with values ``y`` at the
+    increasing points ``x``.
+
+    Outside each gap between neighbouring points the gap's secant bounds
+    the function from above, so it lies under the least of the secants
+    whose closed gaps do not hold the point.  That envelope peaks at a
+    point, at 0 or 1, or where two secants cross: in the middle gap, where
+    the outer chords do.
+    """
+    slope = np.diff(y) / np.diff(x)
+    i, j = np.triu_indices(slope.size, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (y[j] - y[i] + slope[i] * x[i] - slope[j] * x[j]) / (slope[i] - slope[j])
+    t = np.concatenate([[0.0, 1.0], x, cross[(cross >= 0.0) & (cross <= 1.0)]])[:, None]
+    lines = y[:-1] + slope * (t - x[:-1])
+    inside = (x[:-1] <= t) & (t <= x[1:])
+    return float(np.where(inside, np.inf, lines).min(axis=1).max())
+
+
+def symmetric_helper_by_golden(v, tol: float = 1e-8, max_iters: int = 500):
+    """(best value, concave upper bound) of I_c over the inputs diag(1 - q, q)
+    at the environment |0>, by golden section over q: the separable-helper
+    capacity of a gate that commutes with every u (x) u.  (0.0, 0.0) where the
+    Choi criterion finds that channel anti-degradable."""
+    channel = effective_channel(v, np.array([1, 0], dtype=complex))
+    if is_antidegradable_choi(channel):
+        return 0.0, 0.0
+    x, y = golden_max(lambda q: coherent_info(channel, np.diag([1 - q, q])), tol, max_iters)
+    return float(y.max()), concave_upper(x, y)
 
 
 def b2_best_over_theta(t: float, extra_grid: int = 33) -> tuple[float, float]:

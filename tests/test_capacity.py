@@ -33,6 +33,7 @@ from envcap.linalg import (
 )
 from oracles import (
     apply_channel,
+    binary_entropy,
     entangled_env_channel,
     entangled_helper_coherent_info,
     jammer_affine,
@@ -43,6 +44,7 @@ from oracles import (
     random_pure_state,
     same_bits,
     swap_power_helper_outputs,
+    symmetric_helper_by_golden,
     tensor,
     two_copy_by_kron,
     two_copy_output,
@@ -193,10 +195,11 @@ class TestSeparableHelperCapacity:
 
 
 class TestSeparableHelperSymmetry:
-    """Gates that commute with every u (x) u take a 1-d certified branch,
-    which rests on three facts: every pure environment gives a channel
-    unitarily equivalent to that of |0>, that channel is z-covariant, and
-    on degradable channels I_c is concave, so diagonal inputs suffice."""
+    """Gates that commute with every u (x) u take a closed-form branch, which
+    rests on three facts: every pure environment gives a channel unitarily
+    equivalent to that of |0>, that channel is amplitude damping up to an
+    output unitary, and on degradable channels I_c is concave, so diagonal
+    inputs suffice.  The golden-section oracle checks the closed form."""
 
     #: Values of the swap powers, frozen from the grid-and-simplex search.
     FROZEN = ((8 / 63, 0.8607382628039882), (16 / 63, 0.6015333406333623),
@@ -252,14 +255,45 @@ class TestSeparableHelperSymmetry:
         assert separable_helper_capacity(swap_power(32 / 63)).value == 0.0
 
     def test_bracket_holds_before_convergence(self):
-        # the certificate bounds the maximum after any number of steps
+        # the golden-section oracle's (best point, concave upper) bounds the
+        # closed form after any number of steps
         for g in (0.0, 8 / 63, 0.3, 31 / 63):
             want = separable_helper_capacity(swap_power(g)).value
             for steps in range(1, 25):
-                res = separable_helper_capacity(swap_power(g), OptimizerOptions(max_iters=steps))
-                lo, hi = res.diagnostics["bracket"]
+                lo, hi = symmetric_helper_by_golden(swap_power(g), max_iters=steps)
                 assert lo - 1e-15 <= want <= hi + 1e-15
-                assert res.diagnostics["converged"] == 0
+
+    def test_closed_form_matches_golden_section(self):
+        # a = pi/4 gives p = 1/2 up to round-off, where I_c vanishes only to
+        # a few 1e-16: the degradability test, not the root, makes it zero;
+        # a = 1e-13 gives p = 1e-26, below what 1 - p and p * q resolve
+        gates = [swap_power(g) for g in np.linspace(0.0, 1.0, 64)]
+        gates += [canonical_unitary((a, a, a)) for a in [*np.linspace(0.0, PI / 2, 41), 1e-13]]
+        for v in gates:
+            res = separable_helper_capacity(v)
+            want, _ = symmetric_helper_by_golden(v)
+            assert abs(res.value - want) < 1e-12
+            assert (res.value == 0.0) == (want == 0.0)
+            lo, hi = res.diagnostics["bracket"]
+            assert lo == res.value <= hi <= lo + 1e-9
+            assert res.diagnostics["nfev"] == res.diagnostics["restarts"] == 0
+
+    def test_amplitude_damping_closed_form(self):
+        # the value is h((1 - p) q) - h(p q) at the |1> population q
+        for g in np.linspace(0.0, 1.0, 64):
+            res = separable_helper_capacity(swap_power(g))
+            p = res.diagnostics["damping"]
+            assert abs(p - np.sin(PI * g / 2) ** 2) < 1e-15
+            if res.value > 0.0:
+                q = res.argmax_input[1, 1].real
+                want = binary_entropy((1 - p) * q) - binary_entropy(p * q)
+                assert abs(res.value - want) < 1e-14
+
+    def test_identity_gate_exact(self):
+        res = separable_helper_capacity(np.eye(4, dtype=complex))
+        assert res.value == 1.0
+        assert np.array_equal(res.argmax_input, np.eye(2) / 2)
+        assert res.diagnostics["bracket"] == (1.0, 1.0)
 
     def test_argmax_in_the_callers_frame(self):
         res = separable_helper_capacity(swap_power(0.3))
@@ -276,12 +310,15 @@ class TestJammer:
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
     def test_swap(self):
-        res = jammer_value(SWAP, FAST_OPTS)
-        assert res.value == pytest.approx(0.0, abs=1e-6)
-        # clamped at zero like the separable helper; the raw optimum is a
-        # round-off negative
-        assert res.value == 0.0
-        assert -1e-12 < res.diagnostics["raw_value"] <= 0.0
+        # clamped at zero like the separable helper; raw_value is L itself
+        mixed = maximally_mixed(2)
+        for v, low in ((SWAP, -1.0), (swap_power(0.5).matrix, -0.5487949406953986)):
+            res = jammer_value(v, FAST_OPTS)
+            assert res.value == 0.0
+            raw = res.diagnostics["raw_value"]
+            assert raw == pytest.approx(coherent_info(effective_channel(v, mixed), mixed),
+                                        abs=1e-12)
+            assert raw == pytest.approx(low, abs=1e-12)
 
     def test_mixed_env_objective_matches_effective_channel(self):
         # the affine objective must be the coherent information of the
@@ -317,7 +354,9 @@ class TestJammer:
         mixed = maximally_mixed(2)
         low = jammer_ic(jammer_affine(v, mixed), np.zeros(3))
         assert abs(low - coherent_info(effective_channel(v, mixed), mixed)) < 1e-12
-        assert abs(max(0.0, low) - jammer_value(v, FAST_OPTS).diagnostics["raw_value"]) < 1e-12
+        res = jammer_value(v, FAST_OPTS)
+        assert abs(low - res.diagnostics["raw_value"]) < 1e-12
+        assert res.value == max(0.0, res.diagnostics["raw_value"])
 
     @pytest.mark.parametrize("case", ["product", "haar"])
     def test_argmax_consistent_with_value(self, case):
@@ -328,7 +367,7 @@ class TestJammer:
             v = haar_unitary(4, rng)
         res = jammer_value(v, FAST_OPTS)
         ic = coherent_info(effective_channel(v, res.argmax_env), res.argmax_input)
-        assert abs(ic - res.diagnostics["raw_value"]) < 1e-9
+        assert abs(ic - res.value) < 1e-9
 
     def test_cnot_matches_dense_grid_oracle(self):
         # frozen from an independent dense double-grid scan (mixed input

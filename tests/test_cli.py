@@ -263,8 +263,7 @@ QUICK = {
     "b1": (["--grid", "3"], {"grid": ["--grid", "4"]}),
     "b2": (["--grid", "3", "--params", "0.5"],
            {"grid": ["--grid", "4"], "params": ["--params", "0.25"]}),
-    "eh_swap": (["--grid", "5", "--tol", "1e-8"],
-                {"grid": ["--grid", "3"], "tol": ["--tol", "1e-3"]}),
+    "eh_swap": (["--grid", "5"], {"grid": ["--grid", "3"]}),
     "region_scan": (["--grid", "3"], {"grid": ["--grid", "4"]}),
     "classify": (["--grid", "3", "--params", "0.3,0.2,0.1"],
                  {"grid": ["--grid", "4"], "params": ["--params", "0.5,0.25,0"]}),
