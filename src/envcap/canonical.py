@@ -17,7 +17,6 @@ their signs or shift them by pi: the group :func:`fold_to_fundamental` reduces.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -79,24 +78,26 @@ def swap_power(gamma: float) -> BipartiteUnitary:
     return BipartiteUnitary(swap_power_matrix(gamma))
 
 
-def _finite_angles(params) -> tuple:
-    angles = tuple(float(a) for a in params)
-    if len(angles) != 3 or not all(map(math.isfinite, angles)):
-        raise ValueError(f"expected three finite angles, got {params!r}")
-    return angles
+def _finite_angles(params) -> np.ndarray:
+    a = np.asarray(params)
+    if a.dtype.kind not in "biuf" or a.shape[-1:] != (3,) or not np.isfinite(a).all():
+        raise ValueError(f"expected finite real angles, three to a point, got {params!r}")
+    return a.astype(float)
 
 
-def fold_to_fundamental(raw) -> CanonicalParams:
-    """Reduce three raw angles into the fundamental tetrahedron.
+def fold_to_fundamental(raw):
+    """Reduce raw angles (..., 3) into the fundamental tetrahedron.
 
-    Each angle is taken mod pi, reflected into [0, pi/2], and the triple
+    Each angle is taken mod pi, reflected into [0, pi/2], and each triple
     is sorted descending.  Both operations preserve the gate class up to
-    local unitaries and complex conjugation.  Raises ``ValueError``
-    unless ``raw`` holds exactly three finite angles.
+    local unitaries and complex conjugation.  One point gives
+    :class:`CanonicalParams`, more an array (..., 3).  Raises
+    ``ValueError`` unless ``raw`` holds finite real angles, three to a
+    point.
     """
-    folded = (a % np.pi for a in _finite_angles(raw))
-    return CanonicalParams(*sorted((np.pi - a if a > np.pi / 2 else a for a in folded),
-                                   reverse=True))
+    a = _finite_angles(raw) % np.pi
+    folded = np.sort(np.where(a > np.pi / 2, np.pi - a, a))[..., ::-1]
+    return CanonicalParams(*folded.tolist()) if folded.ndim == 1 else folded
 
 
 def decompose_params(u) -> CanonicalParams:
@@ -114,23 +115,26 @@ def decompose_params(u) -> CanonicalParams:
     return fold_to_fundamental((l1 + l4, l2 + l4, l1 + l2))
 
 
-def in_antidegradable_region(params, tol: float = 1e-12) -> bool:
+def in_antidegradable_region(params, tol: float = 1e-12):
     """Whether every induced channel of the gate is anti-degradable.
 
     Characterized by ax + ay, ay + az, az + ax >= pi/2 inside the
-    fundamental tetrahedron.  Raises ``ValueError`` unless ``params``
-    holds exactly three finite angles.
+    fundamental tetrahedron.  Takes angles (..., 3): one point gives a
+    ``bool``, more a boolean array.  Raises ``ValueError`` unless
+    ``params`` holds finite real angles, three to a point.
     """
-    ax, ay, az = _finite_angles(params)
+    ax, ay, az = np.moveaxis(_finite_angles(params), -1, 0)
     cut = np.pi / 2 - tol
-    return bool(ax + ay >= cut and ay + az >= cut and az + ax >= cut)
+    inside = (ax + ay >= cut) & (ay + az >= cut) & (az + ax >= cut)
+    return inside.tolist() if inside.ndim == 0 else inside
 
 
-def in_degradable_region(params) -> bool:
+def in_degradable_region(params):
     """Whether every induced channel of the gate is degradable: exactly when
     swapping its outputs gives a universally anti-degradable gate.  In the
     magic basis, where canonical gates are diagonal, SWAP = e^{i pi/4}
-    U(pi/2, pi/2, pi/2), so the swapped gate is U(params + pi/2).
+    U(pi/2, pi/2, pi/2), so the swapped gate is U(params + pi/2).  Takes
+    and returns what :func:`in_antidegradable_region` does.
     """
-    shifted = np.asarray(params, dtype=float) + np.pi / 2
+    shifted = _finite_angles(params) + np.pi / 2
     return in_antidegradable_region(fold_to_fundamental(shifted), tol=1e-9)

@@ -23,6 +23,8 @@ import datetime
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .capacity import BracketError
 from .experiments import COMMANDS, EXPERIMENTS, ExperimentConfig, run_experiment
@@ -34,7 +36,7 @@ EXIT_NUMERICAL = 4
 
 
 def _format_value(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):  # numpy integers print as Python's already
         return "true" if x else "false"
     if isinstance(x, float):
         return f"{x:.16e}"
@@ -50,15 +52,31 @@ def _rows_to_csv(cfg: ExperimentConfig, header, rows) -> str:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         lines.append(f"# generated: {stamp}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_value(x) for x in row))
+    memo = {}
+
+    def cell(x) -> str:
+        # each distinct value once; in the key, the type tells True, 1 and 1.0 apart,
+        # and a zero's text tells -0.0 from 0.0
+        key = (type(x), x, x == 0 and str(x))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _format_value(x)
+        return text
+
+    lines.extend(",".join(map(cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _rows_to_json(header, rows) -> str:
-    return "\n".join(json.dumps({key: x if isinstance(x, (bool, int, float)) else str(x)
+    return "\n".join(json.dumps({key: x if isinstance(x, (bool, int, float)) else _json_value(x)
                                  for key, x in zip(header, row)}, sort_keys=True)
                       for row in rows) + "\n"
+
+
+def _json_value(x):
+    """numpy bools and integers as Python's, so that JSON holds them as such; other
+    values as text."""
+    return x.item() if isinstance(x, (np.bool_, np.integer)) else str(x)
 
 
 def _floats(text: str) -> tuple:

@@ -76,13 +76,20 @@ def degradability_index(v, eta) -> float:
     return float(_normal_form_index(v, check_state_vector(eta)[None])[0])
 
 
+def _classify(v, etas, tags) -> tuple[list, list]:
+    """:func:`degradability_index` over pure environment states (n, 2), and
+    each state's entry of ``tags``, given in the order of :class:`Degradability`:
+    ``|index| <= SYMMETRIC_TOL`` is symmetric, otherwise the sign decides."""
+    index = in_chunks(lambda e: _normal_form_index(v, e), _CLASSIFY_CHUNK, np.asarray(etas))
+    pick = np.where(np.abs(index) <= SYMMETRIC_TOL, 2, np.where(index > 0, 0, 1))
+    return index.tolist(), np.asarray(tags, dtype=object)[pick].tolist()
+
+
 def classify_envs(v, etas: np.ndarray) -> list[Classification]:
     """Classify the channels induced by pure environment states (n, 2) by
     :func:`degradability_index`; ``|index| <= SYMMETRIC_TOL`` is symmetric."""
-    index = in_chunks(lambda e: _normal_form_index(v, e), _CLASSIFY_CHUNK, np.asarray(etas))
-    return [Classification(Degradability.SYMMETRIC if abs(i) <= SYMMETRIC_TOL
-                           else Degradability.DEGRADABLE if i > 0
-                           else Degradability.ANTI_DEGRADABLE, i) for i in index.tolist()]
+    index, tags = _classify(v, etas, tuple(Degradability))
+    return list(map(Classification, tags, index))
 
 
 def bloch_sphere_grid(n_theta: int, n_phi: int | None = None):

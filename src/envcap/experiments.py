@@ -33,8 +33,9 @@ from .capacity import (
 )
 from .channels import BipartiteUnitary
 from .degradability import (
+    Degradability,
+    _classify,
     bloch_sphere_grid,
-    classify_envs,
     universally_antidegradable,
 )
 
@@ -170,13 +171,15 @@ def b2_curve(t, theta: float):
 def _a1_rows(cfg, opts):
     ts = list(cfg.params) if cfg.params else [0.0]
     gammas = np.linspace(0.5, 1.0, cfg.grid)
-    rows = [(g, t, c) for t in ts for g, c in zip(gammas, a1_curve(gammas, t))]
+    rows = [(g, t, c) for t in ts
+            for g, c in zip(gammas.tolist(), a1_curve(gammas, t).tolist())]
     return ("gamma", "t", "coherent_info"), rows
 
 
 def _a3_rows(cfg, opts):
     ts = np.linspace(0.0, 1.0, cfg.grid)
-    rows = [(t, label, c) for label, _ in A3_FAMILIES for t, c in zip(ts, a3_curve(label, ts))]
+    rows = [(t, label, c) for label, _ in A3_FAMILIES
+            for t, c in zip(ts.tolist(), a3_curve(label, ts).tolist())]
     return ("t", "curve_label", "coherent_info"), rows
 
 
@@ -184,14 +187,15 @@ def _curve_rows(curve, label: str):
     """Builder of the rows (t, label, curve(t)) over the grid of t."""
     def build(cfg, opts):
         ts = np.linspace(0.0, 1.0, cfg.grid)
-        return ("t", "curve_label", "coherent_info"), [(t, label, c) for t, c in zip(ts, curve(ts))]
+        return ("t", "curve_label", "coherent_info"), [
+            (t, label, c) for t, c in zip(ts.tolist(), curve(ts).tolist())]
     return build
 
 
 def _b2_rows(cfg, opts):
     thetas = list(cfg.params) if cfg.params else list(B2_THETAS)
     ts = np.linspace(0.0, 1.0, cfg.grid)
-    rows = [(t, th, c) for th in thetas for t, c in zip(ts, b2_curve(ts, th))]
+    rows = [(t, th, c) for th in thetas for t, c in zip(ts.tolist(), b2_curve(ts, th).tolist())]
     return ("t", "theta", "coherent_info"), rows
 
 
@@ -204,19 +208,21 @@ def _eh_swap_rows(cfg, opts):
 
 def _region_scan_rows(cfg, opts):
     axis = np.linspace(0.0, np.pi / 2, cfg.grid)
-    points = [(float(ax), float(ay), float(az)) for ax in axis
-              for ay in axis[axis <= ax + 1e-12] for az in axis[axis <= ay + 1e-12]]
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    ax, ay, az = grid.T
+    points = grid[(ay <= ax + 1e-12) & (az <= ay + 1e-12)]  # ax slowest, az fastest
     universal = universally_antidegradable(canonical_matrix(points), REGION_UNIVERSAL_GRID)
-    rows = [(*p, in_antidegradable_region(p), in_degradable_region(p), u)
-            for p, u in zip(points, universal.tolist())]
-    return ("alpha_x", "alpha_y", "alpha_z", "in_A", "in_D", "universal_numeric"), rows
+    columns = (*points.T, in_antidegradable_region(points), in_degradable_region(points), universal)
+    return (("alpha_x", "alpha_y", "alpha_z", "in_A", "in_D", "universal_numeric"),
+            list(zip(*(c.tolist() for c in columns))))
 
 
 def _classify_rows(cfg, opts):
     etas, thetas, phis = bloch_sphere_grid(cfg.grid, cfg.grid)
-    cls = classify_envs(_gate_from_params(cfg.params), etas)
-    return ("theta", "phi", "index", "class"), [
-        (th, ph, cl.index, cl.tag.value) for th, ph, cl in zip(thetas, phis, cls)]
+    index, tags = _classify(_gate_from_params(cfg.params), etas,
+                            [tag.value for tag in Degradability])
+    rows = list(zip(thetas.tolist(), phis.tolist(), index, tags))
+    return ("theta", "phi", "index", "class"), rows
 
 
 def _qhtens_rows(cfg, opts):

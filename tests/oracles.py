@@ -29,13 +29,19 @@ helpers that only tests need:
 * the separable-helper capacity of a swap-symmetric gate by golden
   section over diagonal inputs, bracketed by the concave upper envelope
   of its last points (:func:`golden_max`, :func:`concave_upper`,
-  :func:`symmetric_helper_by_golden`).
+  :func:`symmetric_helper_by_golden`);
+* the fold and the region tests one point at a time in Python floats
+  (:func:`fold_by_python`, :func:`in_antidegradable_by_python`,
+  :func:`in_degradable_by_python`), the states where the normal form's
+  two Kraus weights tie (:func:`degenerate_weights`), and the CLI's CSV
+  text formatted cell by cell (:func:`csv_by_value`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from envcap import __version__
 from envcap.canonical import (
     CNOT,
     SWAP,
@@ -53,6 +59,8 @@ from envcap.channels import (
     effective_channel,
     normal_form_stack,
 )
+from envcap.cli import _format_value
+from envcap.degradability import batch_effective_kraus
 from envcap.experiments import B2_THETAS, b2_curve
 from envcap.linalg import (
     ENTROPY_EIG_FLOOR,
@@ -380,6 +388,26 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def fold_by_python(raw) -> tuple:
+    """:func:`fold_to_fundamental` of one point, an angle at a time in
+    Python floats."""
+    folded = (float(a) % np.pi for a in raw)
+    return tuple(sorted((np.pi - a if a > np.pi / 2 else a for a in folded), reverse=True))
+
+
+def in_antidegradable_by_python(params, tol: float = 1e-12) -> bool:
+    """:func:`in_antidegradable_region` of one point in Python floats."""
+    ax, ay, az = map(float, params)
+    cut = np.pi / 2 - tol
+    return ax + ay >= cut and ay + az >= cut and az + ax >= cut
+
+
+def in_degradable_by_python(params) -> bool:
+    """:func:`in_degradable_region` of one point in Python floats."""
+    return in_antidegradable_by_python(fold_by_python(float(a) + np.pi / 2 for a in params),
+                                       tol=1e-9)
+
+
 def region_points(n: int) -> list:
     """The canonical points of ``envcap region_scan --grid n``, in its order."""
     axis = np.linspace(0.0, np.pi / 2, n)
@@ -407,6 +435,14 @@ def degradability_index_by_list(v, eta) -> float:
         return 1.0
     p = ops[0].conj().T @ ops[0]
     return float(np.linalg.det(2 * p - np.eye(2)).real)
+
+
+def degenerate_weights(v, etas) -> np.ndarray:
+    """States whose two Kraus weights agree to 1e-6: the Gram spectrum of
+    the effective Kraus pair is (1, 1)."""
+    k = batch_effective_kraus(v, etas)
+    w = eigvals2(np.einsum("niba,njba->nij", k.conj(), k))
+    return w[:, 1] - w[:, 0] <= 1e-6
 
 
 #: The Pauli matrices sigma_x, sigma_y, sigma_z.
@@ -447,3 +483,11 @@ def two_copy_by_kron(w, v, theta: float | None = None) -> float:
     rho_bb = partial_trace(out, (2,) * 5, keep=(0, 2))
     rho_ff = partial_trace(out, (2,) * 5, keep=(1, 3))
     return entropy(rho_bb, validate=False) - entropy(rho_ff, validate=False)
+
+
+def csv_by_value(cfg, header, rows) -> str:
+    """The CLI's CSV text with every cell formatted on its own, as a plain
+    join of ``_format_value``; ``cfg.no_timestamp`` must be set."""
+    lines = [f"# envcap {__version__}", f"# config: {cfg.to_json()}", ",".join(header)]
+    lines += [",".join(_format_value(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ from envcap.canonical import (
     CNOT,
     MAGIC,
     SWAP,
+    CanonicalParams,
     canonical_matrix,
     canonical_unitary,
     decompose_params,
@@ -18,6 +19,9 @@ from envcap.canonical import (
 from envcap.linalg import haar_unitary
 from oracles import (
     DCNOT,
+    fold_by_python,
+    in_antidegradable_by_python,
+    in_degradable_by_python,
     in_degradable_region_by_swap,
     makhlin_invariants,
     region_points,
@@ -51,7 +55,10 @@ def boundary_points(rng, n=10):
 
 
 BAD_ANGLES = [(np.nan, 0.0, 0.0), (np.inf, 0.1, 0.0), (0.1, -np.inf, 0.0), (1.0, 2.0),
-              (0.1, 0.2, 0.3, 0.4)]
+              (0.1, 0.2, 0.3, 0.4),
+              # complex angles, a non-finite entry of a stack, a last axis other than 3
+              np.array([0.9 + 1j, 0.9, 0.0]), (1j, 0.0, 0.0), np.array([0.1, 0.2, 0.3], complex),
+              np.array([[0.1, 0.2, 0.3], [0.4, np.nan, 0.0]]), np.zeros((3, 2)), 0.5]
 
 
 class TestMagicBasis:
@@ -252,6 +259,80 @@ class TestDegradableClosedForm:
     def test_swap_is_the_shifted_vertex(self):
         u = canonical_unitary((PI / 2,) * 3).matrix
         assert np.abs(SWAP - np.exp(1j * PI / 4) * u).max() < 1e-15
+
+
+#: Where :func:`in_antidegradable_region` cuts at its default tolerance.
+CUT = PI / 2 - 1e-12
+
+
+def raw_angle_sample(rng, n=3000):
+    """n raw points in [-2 pi, 2 pi]: a tenth with ax + ay exactly pi/2,
+    a tenth each with ax + ay, ay + az and az + ax exactly at the cut, and
+    ay = -0.0 in every seventh of the rest."""
+    raw = rng.uniform(-2 * PI, 2 * PI, (n, 3))
+    m = n // 10
+    for k, ((i, j), total) in enumerate((((0, 1), PI / 2), ((0, 1), CUT), ((1, 2), CUT),
+                                         ((2, 0), CUT))):
+        x = rng.uniform(0.0, total, 4 * m)
+        x = x[x + (total - x) == total][:m]
+        raw[k * m:(k + 1) * m, i], raw[k * m:(k + 1) * m, j] = x, total - x
+    raw[4 * m::7, 1] = -0.0
+    return raw
+
+
+class TestArrayRegions:
+    """The fold and the region tests take points (..., 3) at once: the
+    stack gives what each point gives alone, and what the Python-float
+    route of the oracles gives, bit for bit."""
+
+    @staticmethod
+    def check(points):
+        folded = fold_to_fundamental(points)
+        anti, deg = in_antidegradable_region(points), in_degradable_region(points)
+        assert folded.shape == points.shape and anti.shape == deg.shape == points.shape[:1]
+        assert anti.dtype == deg.dtype == bool
+        lone = points.tolist()
+        assert same_bits(folded, np.array([fold_to_fundamental(p) for p in lone]))
+        assert same_bits(folded, np.array([fold_by_python(p) for p in lone]))
+        assert anti.tolist() == [in_antidegradable_region(p) for p in lone]
+        assert anti.tolist() == [in_antidegradable_by_python(p) for p in lone]
+        assert deg.tolist() == [in_degradable_region(p) for p in lone]
+        assert deg.tolist() == [in_degradable_by_python(p) for p in lone]
+
+    @pytest.mark.parametrize("n", [5, 9, 17, 33, 65])
+    def test_region_grids(self, n):
+        self.check(np.array(region_points(n)))
+
+    def test_raw_angles(self):
+        raw = raw_angle_sample(np.random.default_rng(94))
+        ax, ay, az = raw.T
+        assert (ax + ay == PI / 2).sum() >= 300
+        assert min((ax + ay == CUT).sum(), (ay + az == CUT).sum(), (az + ax == CUT).sum()) >= 300
+        assert np.signbit(ay).sum() >= 1800 // 7
+        self.check(raw)
+
+    def test_leading_axes(self):
+        raw = raw_angle_sample(np.random.default_rng(95), 60).reshape(3, 4, 5, 3)
+        flat = raw.reshape(-1, 3)
+        assert same_bits(fold_to_fundamental(raw), fold_to_fundamental(flat).reshape(raw.shape))
+        for test in (in_antidegradable_region, in_degradable_region):
+            assert same_bits(test(raw), test(flat).reshape(raw.shape[:-1]))
+
+    @pytest.mark.parametrize("point", [(0.1, 0.2, 0.3), [PI / 4] * 3, (1, 2, 3),
+                                       np.array([PI / 2, -0.0, 7.0]),
+                                       np.array([0.5, 1.0, 1.5], np.float32)])
+    def test_one_point_gives_python_scalars(self, point):
+        assert type(in_antidegradable_region(point)) is bool
+        assert type(in_degradable_region(point)) is bool
+        folded = fold_to_fundamental(point)
+        assert type(folded) is CanonicalParams
+        assert [type(a) for a in folded] == [float] * 3
+
+    @pytest.mark.parametrize("n", [5, 9, 17, 33])
+    def test_degradable_stack_matches_the_swap_route(self, n):
+        points = region_points(n)
+        assert (in_degradable_region(np.array(points)).tolist()
+                == [in_degradable_region_by_swap(p) for p in points])
 
 
 class TestStackedBuilders:

@@ -9,7 +9,19 @@ import pytest
 
 from envcap.canonical import SWAP, canonical_unitary, swap_power
 from envcap.capacity import two_copy_curve
-from envcap.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from envcap.cli import (
+    EXIT_BAD_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _format_value,
+    _merge_config,
+    _rows_to_csv,
+    _rows_to_json,
+    build_parser,
+    main,
+)
+from envcap.degradability import bloch_sphere_grid, classify_envs
 from envcap.experiments import (
     A3_FAMILIES,
     COMMANDS,
@@ -22,7 +34,13 @@ from envcap.experiments import (
     b2_curve,
     run_experiment,
 )
-from oracles import b2_best_over_theta, same_bits, two_copy_by_kron
+from oracles import (
+    b2_best_over_theta,
+    csv_by_value,
+    degenerate_weights,
+    same_bits,
+    two_copy_by_kron,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -321,6 +339,61 @@ class TestCommandTable:
         assert (want[2] is not None) == bool(out_flags)
         for field, flags in variants.items():
             assert result(flags) != want, field
+
+
+class TestWriters:
+    """The CSV writer formats each distinct value of a table once; its text
+    is the plain per-value join of :func:`oracles.csv_by_value`."""
+
+    #: Values that compare equal yet print apart, with their text.
+    CELLS = [(True, "true"), (1, "1"), (1.0, "1.0000000000000000e+00"),
+             (0.0, "0.0000000000000000e+00"), (-0.0, "-0.0000000000000000e+00"),
+             (False, "false"), (0, "0"), (np.nan, "nan"), (np.inf, "inf"),
+             (-np.inf, "-inf"), (np.float64(0.1), "1.0000000000000001e-01"),
+             (np.float64(-0.0), "-0.0000000000000000e+00"), (np.True_, "true"),
+             (np.False_, "false"), (np.int64(1), "1"), ('say "a,b"', '"say ""a,b"""'),
+             (float("nan"), "nan")]
+
+    def test_mixed_column(self):
+        cfg = ExperimentConfig("a1", no_timestamp=True)
+        values = [x for x, _ in self.CELLS]
+        rows = [(x,) for x in values + values[::-1] + values]
+        text = _rows_to_csv(cfg, ("x",), rows)
+        assert text == csv_by_value(cfg, ("x",), rows)
+        want = [t for _, t in self.CELLS]
+        assert text.splitlines()[3:] == want + want[::-1] + want
+
+    def test_values_repeat_across_columns(self):
+        cfg = ExperimentConfig("a1", no_timestamp=True)
+        values = [x for x, _ in self.CELLS]
+        rows = [(x, y) for x in values for y in values]
+        assert _rows_to_csv(cfg, ("x", "y"), rows) == csv_by_value(cfg, ("x", "y"), rows)
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_quick_tables_match_the_per_value_join(self, name):
+        cfg = _merge_config(build_parser().parse_args([name, *QUICK[name][0], "--no-timestamp"]))
+        header, rows = run_experiment(cfg)
+        assert _rows_to_csv(cfg, header, rows) == csv_by_value(cfg, header, rows)
+
+    def test_numpy_scalars_print_as_python_ones(self):
+        for x, y in [(np.True_, True), (np.False_, False), (np.int64(-7), -7), (np.uint8(3), 3)]:
+            assert _format_value(x) == _format_value(y)
+            assert _rows_to_json(("v",), [(x,)]) == _rows_to_json(("v",), [(y,)])
+        assert _rows_to_json(("b", "i"), [(np.True_, np.int64(7))]) == '{"b": true, "i": 7}\n'
+
+    def test_classify_class_column_is_the_tag_of_classify_envs(self):
+        # at (pi/2, 0, 0) both Kraus weights are 1 on 124 states of the
+        # 32 x 32 grid, and the normal form reads 60 of them anti-degradable
+        header, rows = run_experiment(ExperimentConfig("classify", params=(0.5, 0.0, 0.0)))
+        etas = bloch_sphere_grid(32, 32)[0]
+        v = canonical_unitary((np.pi / 2, 0.0, 0.0))
+        cls = classify_envs(v, etas)
+        assert header[2:] == ("index", "class") and len(rows) == 1024
+        assert [r[3] for r in rows] == [cl.tag.value for cl in cls]
+        assert [r[2] for r in rows] == [cl.index for cl in cls]
+        deg = degenerate_weights(v, etas)
+        tags = np.array([r[3] for r in rows])
+        assert deg.sum() == 124 and (tags[deg] == "anti-degradable").sum() == 60
 
 
 def test_readme_synopsis_matches_parser():

@@ -23,10 +23,11 @@ from envcap.degradability import (
 )
 from envcap.degradability import _cubic_coefficients, _sphere_monomials
 from envcap.experiments import REGION_UNIVERSAL_GRID
-from envcap.linalg import bloch_state, eigvals2, haar_unitary
+from envcap.linalg import bloch_state, haar_unitary
 from oracles import (
     bloch_determinant_index,
     complementary_channel,
+    degenerate_weights,
     degradability_index_by_list,
     is_antidegradable_choi,
     random_pure_state,
@@ -233,14 +234,6 @@ class TestStackedIndex:
             eta = random_pure_state(2, rng)
             single = np.einsum("bfae,e->fba", v.reshape(2, 2, 2, 2), eta)
             assert same_bits(batch_effective_kraus(v, eta), single)
-
-
-def degenerate_weights(v, etas) -> np.ndarray:
-    """States whose two Kraus weights agree to 1e-6: the Gram spectrum of
-    the effective Kraus pair is (1, 1)."""
-    k = batch_effective_kraus(v, etas)
-    w = eigvals2(np.einsum("niba,njba->nij", k.conj(), k))
-    return w[:, 1] - w[:, 0] <= 1e-6
 
 
 class TestBatchedAgainstNormalForm:

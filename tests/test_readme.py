@@ -36,3 +36,5 @@ def test_library_snippet_runs_and_matches_its_comments():
     assert "# five gammas at once" in code
     singles = [two_copy_curve(ns["w"], swap_power(g).matrix) for g in np.linspace(0.5, 1, 5)]
     assert np.array_equal(ns["curve"], singles)
+    assert "# [True, True, False]" in code
+    assert ns["regions"].tolist() == [True, True, False]
