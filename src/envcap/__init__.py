@@ -39,4 +39,4 @@ from .degradability import (
     degradability_index,
     is_universally_antidegradable,
 )
-from .linalg import entropy, haar_unitary, partial_trace
+from .linalg import entropy, haar_unitary

@@ -5,7 +5,8 @@ S(N(rho)) - S(N~(rho)), with N~(rho) the environment output of the
 canonical dilation of the Kraus list.  On top of that single quantity
 this module provides:
 
-* the maximum over inputs for a fixed channel (Bloch-ball simplex search),
+* the maximum over inputs for a fixed channel (Bloch-ball simplex search,
+  restarted from the best-scoring candidate inputs, at most 13),
 * the maximum over environment states and inputs for a two-qubit gate
   (the separable-helper capacity): the amplitude-damping capacity in closed
   form for gates that commute with every u (x) u, such as the swap powers,
@@ -28,17 +29,18 @@ import numpy as np
 
 from .channels import BipartiteUnitary, KrausChannel, as_two_qubit, effective_channel
 from .degradability import (
+    _PAULI,
     SYMMETRIC_TOL,
     batch_degradability_index,
     batch_effective_kraus,
     bloch_sphere_grid,
 )
 from .linalg import (
-    ENTROPY_EIG_FLOOR,
     bloch_density,
     bloch_state,
     check_density_matrix,
     entropy,
+    entropy_terms,
     in_chunks,
     maximally_entangled,
     projector,
@@ -53,9 +55,6 @@ HELPER_CAPACITY_FLOOR = 5e-6
 #: Geometric seeds pushed toward the mu in {0, 1} corners, where the
 #: helper-capacity optimum migrates as the swap exponent grows.
 _CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
-
-#: Seed of the random restart points drawn by :func:`max_coherent_info`.
-_RESTART_SEED = 1234
 
 #: Gate pairs per stacked two-copy evaluation; bounds its (n, 4, 4, 8) temporaries.
 _TWO_COPY_CHUNK = 256
@@ -209,26 +208,28 @@ def _record(values, nfev, converged):
             "restarts": len(values)}
 
 
+#: Bloch vectors of the scored input states that seed the input searches.
+_RHO_CANDIDATES = np.vstack([np.zeros(3)] + [r * np.vstack([np.eye(3), -np.eye(3)])
+                                             for r in (0.5, 0.97)])
+
+
 def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Maximum coherent information over the Bloch ball of qubit inputs.
 
-    Multi-restart downhill-simplex search; for degradable channels the
-    objective is concave, so restarts agree and the reported value is
-    within the optimizer tolerance of the true maximum.
+    Multi-restart downhill-simplex search from the ``opts.restarts``
+    best-scoring inputs of ``_RHO_CANDIDATES`` (13 at most; best first, ties
+    in candidate order), seeded as the separable helper's.  For degradable
+    channels the objective is concave, so restarts agree and the reported
+    value is within the optimizer tolerance of the true maximum.
     """
     opts = opts or OptimizerOptions()
     if c.dim_in != 2:
         raise ValueError("input maximization is implemented for qubit inputs")
     kraus = np.stack(c.kraus)
-    rng = np.random.default_rng(_RESTART_SEED)
-    starts = [np.zeros(3)]
-    while len(starts) < opts.restarts:
-        x = rng.uniform(-1.0, 1.0, 3)
-        if np.linalg.norm(x) <= 1.0:
-            starts.append(x)
-
+    scores = _coherent_info(kraus, bloch_density(_RHO_CANDIDATES))
+    starts = _RHO_CANDIDATES[np.argsort(-scores, kind="stable")[: opts.restarts]]
     x, value, record = _maximize(lambda x: _coherent_info(kraus, bloch_density(x)), starts,
-                                 0.25, opts.tol, opts.max_iters, best=(starts[0], -np.inf))
+                                 0.25, opts.tol, opts.max_iters)
     return CapacityResult(value=float(value), argmax_input=bloch_density(x),
                           diagnostics={"raw_value": float(value), **record})
 
@@ -237,14 +238,8 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
 # separable-helper capacity of a two-qubit gate
 # ---------------------------------------------------------------------------
 
-#: Bloch vectors of the input states used for coarse grid scoring.
-_RHO_CANDIDATES = np.vstack([np.zeros(3)] + [r * np.vstack([np.eye(3), -np.eye(3)])
-                                             for r in (0.5, 0.97)])
-
-
 #: The collective generators sigma_i (x) I + I (x) sigma_i, i = x, y, z.
-_COLLECTIVE = [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s)
-               for s in 2 * bloch_density(np.eye(3)) - np.eye(2)]
+_COLLECTIVE = [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s) for s in _PAULI[1:]]
 
 _KET0 = np.array([1, 0], dtype=complex)
 
@@ -373,7 +368,7 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     upper = max_coherent_info(channel, opts)
     return CapacityResult(
         value=value,
-        argmax_input=mixed if low > 0 else projector(np.array([1, 0], complex)),
+        argmax_input=mixed if low > 0 else projector(_KET0),
         argmax_env=mixed,
         diagnostics={**upper.diagnostics, "raw_value": low,
                      "bracket": (value, upper.value)},
@@ -492,8 +487,7 @@ def _helper_objective(factors, lam, mu):
     r = np.sqrt(((p00 - p11) / 2) ** 2 + (root * np.abs(z)) ** 2)
     w = np.empty((6,) + half.shape)  # the spectra of rho_hb and rho_f
     w[0], w[1], w[2], w[3], w[4], w[5] = half + r, half - r, p01, p10, f0, f1
-    keep = w > ENTROPY_EIG_FLOOR  # -w log2 w as in entropy_from_eigvals
-    h = np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0)
+    h = entropy_terms(w)
     return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
 
 

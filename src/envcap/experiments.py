@@ -168,35 +168,14 @@ def b2_curve(t, theta: float):
 
 # -- command table ---------------------------------------------------------
 
-def _a1_rows(cfg, opts):
-    ts = list(cfg.params) if cfg.params else [0.0]
-    gammas = np.linspace(0.5, 1.0, cfg.grid)
-    rows = [(g, t, c) for t in ts
-            for g, c in zip(gammas.tolist(), a1_curve(gammas, t).tolist())]
-    return ("gamma", "t", "coherent_info"), rows
-
-
-def _a3_rows(cfg, opts):
-    ts = np.linspace(0.0, 1.0, cfg.grid)
-    rows = [(t, label, c) for label, _ in A3_FAMILIES
-            for t, c in zip(ts.tolist(), a3_curve(label, ts).tolist())]
-    return ("t", "curve_label", "coherent_info"), rows
-
-
-def _curve_rows(curve, label: str):
-    """Builder of the rows (t, label, curve(t)) over the grid of t."""
+def _curve_rows(header, x_range, tags, curve):
+    """Builder of the rows (x, tag, curve(x, tag)) over ``cfg.grid`` points
+    of ``x_range``, tag by tag; ``--params`` replaces the tags."""
     def build(cfg, opts):
-        ts = np.linspace(0.0, 1.0, cfg.grid)
-        return ("t", "curve_label", "coherent_info"), [
-            (t, label, c) for t, c in zip(ts.tolist(), curve(ts).tolist())]
+        xs = np.linspace(*x_range, cfg.grid)
+        return header, [(x, tag, c) for tag in cfg.params or tags
+                        for x, c in zip(xs.tolist(), curve(xs, tag).tolist())]
     return build
-
-
-def _b2_rows(cfg, opts):
-    thetas = list(cfg.params) if cfg.params else list(B2_THETAS)
-    ts = np.linspace(0.0, 1.0, cfg.grid)
-    rows = [(t, th, c) for th in thetas for t, c in zip(ts.tolist(), b2_curve(ts, th).tolist())]
-    return ("t", "theta", "coherent_info"), rows
 
 
 def _eh_swap_rows(cfg, opts):
@@ -261,15 +240,22 @@ class Command:
 
 
 _OUTPUT = frozenset({"output_path", "format", "no_timestamp"})
+_LABELLED = ("t", "curve_label", "coherent_info")
 
 #: Every command the CLI runs, keyed by its words.  Experiments build
 #: (header, rows); ``locate`` targets return a root, ``tol`` bisects it.
+#: The curve rows call each curve by its module name, so rebinding it reaches them.
 COMMANDS = {
-    "a1": Command(_a1_rows, _OUTPUT | {"grid", "params"}),
-    "a2": Command(_curve_rows(a2_curve, "a2"), _OUTPUT | {"grid"}),
-    "a3": Command(_a3_rows, _OUTPUT | {"grid"}),
-    "b1": Command(_curve_rows(b1_curve, "m"), _OUTPUT | {"grid"}),
-    "b2": Command(_b2_rows, _OUTPUT | {"grid", "params"}),
+    "a1": Command(_curve_rows(("gamma", "t", "coherent_info"), (0.5, 1.0), (0.0,),
+                              lambda g, t: a1_curve(g, t)), _OUTPUT | {"grid", "params"}),
+    "a2": Command(_curve_rows(_LABELLED, (0.0, 1.0), ("a2",), lambda t, _: a2_curve(t)),
+                  _OUTPUT | {"grid"}),
+    "a3": Command(_curve_rows(_LABELLED, (0.0, 1.0), tuple(dict(A3_FAMILIES)),
+                              lambda t, label: a3_curve(label, t)), _OUTPUT | {"grid"}),
+    "b1": Command(_curve_rows(_LABELLED, (0.0, 1.0), ("m",), lambda t, _: b1_curve(t)),
+                  _OUTPUT | {"grid"}),
+    "b2": Command(_curve_rows(("t", "theta", "coherent_info"), (0.0, 1.0), B2_THETAS,
+                              lambda t, theta: b2_curve(t, theta)), _OUTPUT | {"grid", "params"}),
     "eh_swap": Command(_eh_swap_rows, _OUTPUT | {"grid"}),
     "region_scan": Command(_region_scan_rows, _OUTPUT | {"grid"}, grid=9),
     "classify": Command(_classify_rows, _OUTPUT | {"grid", "params"}, grid=32),

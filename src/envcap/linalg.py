@@ -8,8 +8,6 @@ slow index).  All entropies are in bits (base-2 logarithms).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 # Validation tolerances.  16x16 is the largest matrix in this package, so
@@ -69,33 +67,6 @@ def check_density_matrix(rho) -> np.ndarray:
     return rho
 
 
-def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
-    """Trace out all subsystems of ``m`` except those listed in ``keep``.
-
-    ``dims`` gives the dimension of each tensor factor (row-major order)
-    and must multiply to the side of ``m``.  ``keep`` is a subsystem
-    index or an iterable of indices; the kept factors stay in their
-    original relative order.  Leading axes of ``m`` index a stack.
-    """
-    m = np.asarray(m, dtype=complex)
-    dims = [int(d) for d in dims]
-    side = int(np.prod(dims))
-    if m.shape[-2:] != (side, side):
-        raise ValueError(
-            f"matrix of shape {m.shape} does not match subsystem split {tuple(dims)}")
-    lead = m.shape[:-2]
-    keep = sorted({int(keep)} if isinstance(keep, (int, np.integer)) else {int(k) for k in keep})
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-    cur, cur_dims = m, list(dims)
-    for i in [i for i in reversed(range(len(dims))) if i not in keep]:
-        k = len(lead) + i
-        cur = np.trace(cur.reshape(lead + tuple(cur_dims) * 2), axis1=k, axis2=k + len(cur_dims))
-        cur_dims.pop(i)
-        cur = cur.reshape(lead + (int(np.prod(cur_dims)),) * 2)  # np.prod([]) is 1
-    return cur
-
-
 def eigvals2(m) -> np.ndarray:
     """Ascending eigenvalues of Hermitian 2x2 matrices over the last two
     axes, in closed form."""
@@ -113,14 +84,19 @@ def in_chunks(f, size: int, *stacks) -> np.ndarray:
     return np.concatenate([f(*(s[i:i + size] for s in stacks)) for i in starts])
 
 
+def entropy_terms(w) -> np.ndarray:
+    """-w log2 w elementwise, in bits; w at or below ENTROPY_EIG_FLOOR gives 0."""
+    keep = w > ENTROPY_EIG_FLOOR
+    return np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0)
+
+
 def entropy_from_eigvals(w):
     """Von Neumann entropy in bits from eigenvalues over the last axis.
 
     A 1-d array gives a float; a stack gives an array of entropies.
     """
     w = np.asarray(w, dtype=float)
-    keep = w > ENTROPY_EIG_FLOOR
-    s = np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(-1)
+    s = entropy_terms(w).sum(-1)
     return float(s) if w.ndim == 1 else s
 
 

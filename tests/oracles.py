@@ -7,7 +7,7 @@ kernels must reproduce bit for bit; and the reference channels and
 helpers that only tests need:
 
 * the gate :data:`DCNOT`; states and products: :func:`tensor`,
-  :func:`binary_entropy`, :func:`maximally_mixed`, :func:`random_pure_state`,
+  :func:`partial_trace`, :func:`binary_entropy`, :func:`maximally_mixed`, :func:`random_pure_state`,
   :func:`random_density_matrix`;
 * channels of a two-qubit gate besides the effective one: the channel
   into the environment (:func:`complementary_channel`), the channel to
@@ -38,6 +38,8 @@ helpers that only tests need:
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -71,7 +73,6 @@ from envcap.linalg import (
     entropy,
     entropy_from_eigvals,
     maximally_entangled,
-    partial_trace,
     projector,
 )
 
@@ -89,6 +90,33 @@ def tensor(a, b, *rest) -> np.ndarray:
     for m in rest:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
+
+
+def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
+    """Trace out all subsystems of ``m`` except those listed in ``keep``.
+
+    ``dims`` gives the dimension of each tensor factor (row-major order)
+    and must multiply to the side of ``m``.  ``keep`` is a subsystem
+    index or an iterable of indices; the kept factors stay in their
+    original relative order.  Leading axes of ``m`` index a stack.
+    """
+    m = np.asarray(m, dtype=complex)
+    dims = [int(d) for d in dims]
+    side = int(np.prod(dims))
+    if m.shape[-2:] != (side, side):
+        raise ValueError(
+            f"matrix of shape {m.shape} does not match subsystem split {tuple(dims)}")
+    lead = m.shape[:-2]
+    keep = sorted({int(keep)} if isinstance(keep, (int, np.integer)) else {int(k) for k in keep})
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
+    cur, cur_dims = m, list(dims)
+    for i in [i for i in reversed(range(len(dims))) if i not in keep]:
+        k = len(lead) + i
+        cur = np.trace(cur.reshape(lead + tuple(cur_dims) * 2), axis1=k, axis2=k + len(cur_dims))
+        cur_dims.pop(i)
+        cur = cur.reshape(lead + (int(np.prod(cur_dims)),) * 2)  # np.prod([]) is 1
+    return cur
 
 
 def binary_entropy(x: float) -> float:

@@ -26,13 +26,14 @@ from envcap.capacity import (
 from envcap.channels import KrausChannel, effective_channel, normal_form_stack
 from envcap.cli import main
 from envcap.degradability import degradability_index, is_universally_antidegradable
-from envcap.linalg import haar_unitary, maximally_entangled, partial_trace, projector
+from envcap.linalg import haar_unitary, maximally_entangled, projector
 from oracles import (
     DCNOT,
     choi_state,
     entangled_helper_coherent_info,
     is_antidegradable_choi,
     maximally_mixed,
+    partial_trace,
     random_density_matrix,
     random_pure_state,
     tensor,

@@ -10,8 +10,13 @@ from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, sw
 from envcap.channels import BipartiteUnitary, KrausChannel, effective_channel
 from envcap import capacity
 from envcap.capacity import (
+    _RHO_CANDIDATES,
     BracketError,
     OptimizerOptions,
+    _coherent_info,
+    _helper_objective,
+    _helper_terms,
+    _swap_factors,
     coherent_info,
     find_zero_crossing,
     jammer_value,
@@ -26,9 +31,9 @@ from envcap.linalg import (
     bloch_density,
     check_density_matrix,
     entropy,
+    entropy_from_eigvals,
     haar_unitary,
     maximally_entangled,
-    partial_trace,
     projector,
 )
 from oracles import (
@@ -40,6 +45,7 @@ from oracles import (
     jammer_ic,
     jammer_search,
     maximally_mixed,
+    partial_trace,
     random_density_matrix,
     random_pure_state,
     same_bits,
@@ -60,6 +66,14 @@ FAST_OPTS = OptimizerOptions(restarts=4, grid=32, max_iters=400)
 JAMMER_POSITIVE = (((0.1, 0.05, 0.02), 0.7697479960752763),
                    ((0.2, 0.1, 0.0), 0.379600589431458),
                    ((0.3, 0.1, 0.05), 0.06457670876978083))
+
+#: (canonical point in units of pi, upper end U of the jammer bracket) at
+#: default options, frozen from the random-restart input search that the
+#: candidate seeding replaced.
+JAMMER_UPPER = (((0.25, 0.25, 0.25), 6.661338147750939e-16),
+                ((0.1, 0.05, 0.02), 0.7697479960752799),
+                ((0.2, 0.1, 0.0), 0.3796005894314599),
+                ((0.3, 0.1, 0.05), 0.06457670876978316))
 
 
 def identity_channel():
@@ -149,6 +163,38 @@ class TestMaxCoherentInfo:
             res = max_coherent_info(effective_channel(v, eta), FAST_OPTS)
             assert res.value <= 1e-6
             checked += 1
+
+    @pytest.mark.parametrize("restarts", [1, 4, 8, 13, 20])
+    def test_starts_are_the_best_scoring_candidates(self, restarts, monkeypatch):
+        # best first, ties in candidate order, 13 at most; the record counts the runs
+        seen, minimize = [], capacity.minimize
+
+        def recorded(f, starts, *args):
+            seen.append(np.array(starts))
+            return minimize(f, starts, *args)
+
+        monkeypatch.setattr(capacity, "minimize", recorded)
+        rng = np.random.default_rng(75)
+        mixed = maximally_mixed(2)
+        channels = [identity_channel(), effective_channel(swap_power(0.3), KET0),
+                    effective_channel(canonical_unitary((PI / 4,) * 3), mixed)]
+        channels += [effective_channel(haar_unitary(4, rng), random_pure_state(2, rng))
+                     for _ in range(3)]
+        for ch in channels:
+            scores = _coherent_info(np.stack(ch.kraus), bloch_density(_RHO_CANDIDATES))
+            for r, score in zip(_RHO_CANDIDATES, scores):
+                assert abs(score - coherent_info(ch, bloch_density(r))) < 1e-12
+            order = sorted(range(13), key=lambda i: -scores[i])[:restarts]
+            seen.clear()
+            res = max_coherent_info(ch, OptimizerOptions(restarts=restarts, max_iters=100))
+            assert len(seen) == 1
+            assert same_bits(seen[0], _RHO_CANDIDATES[order])
+            d = res.diagnostics
+            assert d["restarts"] == len(d["restart_values"]) == min(restarts, 13)
+            assert res.value >= scores.max()
+        # the identity channel ties its axes: its order is the candidates' own
+        ties = _coherent_info(np.eye(2, dtype=complex)[None], bloch_density(_RHO_CANDIDATES))
+        assert (ties[1:7] == ties[1]).sum() > 1
 
 
 class TestSeparableHelperCapacity:
@@ -387,6 +433,13 @@ class TestJammer:
         lo, hi = res.diagnostics["bracket"]
         assert lo == res.value
         assert hi - lo <= 1e-9
+
+    @pytest.mark.parametrize("params,upper", JAMMER_UPPER)
+    def test_upper_end_frozen(self, params, upper):
+        res = jammer_value(canonical_unitary(tuple(PI * a for a in params)))
+        lo, hi = res.diagnostics["bracket"]
+        assert abs(hi - upper) <= 1e-12
+        assert lo == res.value <= hi
 
     @pytest.mark.parametrize("case", ["product", "cnot", "positive"])
     def test_nested_search_oracle_agrees(self, case):
@@ -653,6 +706,23 @@ class TestHelperOutputs:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             swap_power_helper_outputs(0.5, -0.1, 0.5)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
+    def test_objective_is_entropy_from_eigvals(self, gamma):
+        # the objective's six eigenvalues through entropy_from_eigvals, bit for bit
+        lam, mu = np.meshgrid(np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 33), indexing="ij")
+        factors = _swap_factors(gamma)
+        (p00, p01, p10, p11), root, z, (f0, f1) = _helper_terms(factors, lam, mu)
+        half = (p00 + p11) / 2
+        r = np.sqrt(((p00 - p11) / 2) ** 2 + (root * np.abs(z)) ** 2)
+        hb, f = np.stack([half + r, half - r, p01, p10], -1), np.stack([f0, f1], -1)
+        want = entropy_from_eigvals(hb) - entropy_from_eigvals(f)
+        assert same_bits(_helper_objective(factors, lam, mu), want)
+        # and they are the spectra of the closed-form outputs
+        for i, j in ((0, 0), (5, 17), (32, 9), (20, 32)):
+            rho_hb, rho_f = swap_power_helper_outputs(gamma, lam[i, j], mu[i, j])
+            assert np.abs(np.sort(hb[i, j]) - np.linalg.eigvalsh(rho_hb)).max() < 1e-12
+            assert np.abs(np.sort(f[i, j]) - np.linalg.eigvalsh(rho_f)).max() < 1e-12
 
 
 def test_optimizer_options_validation():

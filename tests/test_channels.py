@@ -11,7 +11,7 @@ from envcap.channels import (
     effective_channel,
     normal_form_stack,
 )
-from envcap.linalg import entropy, haar_unitary, maximally_entangled, partial_trace, projector
+from envcap.linalg import entropy, haar_unitary, maximally_entangled, projector
 from oracles import (
     apply_channel,
     channel_reduction_b,
@@ -21,6 +21,7 @@ from oracles import (
     entangled_env_channel,
     kraus_normal_form_by_list,
     maximally_mixed,
+    partial_trace,
     random_density_matrix,
     random_pure_state,
     same_bits,

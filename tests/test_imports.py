@@ -57,3 +57,17 @@ def test_every_private_name_is_read():
     read = set().union(*map(read_names, trees.values()))
     unread = {m: sorted(private_top_level_names(t) - read) for m, t in trees.items()}
     assert {m: names for m, names in unread.items() if names} == {}
+
+
+def modules_containing(text: str) -> set:
+    return {p.name for p in PACKAGE.glob("*.py") if text in p.read_text(encoding="utf-8")}
+
+
+def test_one_entropy_term():
+    # -w log2 w and its eigenvalue floor live in linalg alone
+    assert modules_containing("log2") == {"linalg.py"}
+
+
+def test_no_random_generator():
+    # the searches start from scored candidate inputs, not from random draws
+    assert modules_containing("default_rng") == set()

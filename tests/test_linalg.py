@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from envcap.linalg import (
+    ENTROPY_EIG_FLOOR,
     bloch_density,
     bloch_state,
     check_density_matrix,
     check_state_vector,
     eigvals2,
     entropy,
+    entropy_terms,
     haar_unitary,
     in_chunks,
     maximally_entangled,
-    partial_trace,
     projector,
 )
 from oracles import (
     binary_entropy,
     maximally_mixed,
+    partial_trace,
     random_density_matrix,
     random_pure_state,
     same_bits,
@@ -216,6 +218,15 @@ class TestEntropy:
             entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))
         with pytest.raises(ValueError):
             entropy(np.full((2, 2), np.nan))
+
+    def test_terms_floor(self):
+        # -w log2 w above the floor; the floor itself, zero and round-off negatives give 0
+        w = np.array([0.5, 0.25, 1.0, 2 * ENTROPY_EIG_FLOOR, ENTROPY_EIG_FLOOR, 0.0, -1e-15])
+        got = entropy_terms(w)
+        assert got[:3].tolist() == [0.5, 0.5, 0.0]
+        assert got[3] == pytest.approx(-2 * ENTROPY_EIG_FLOOR * np.log2(2 * ENTROPY_EIG_FLOOR),
+                                       rel=1e-15)
+        assert got[4:].tolist() == [0.0, 0.0, 0.0]
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(21)
