@@ -5,8 +5,8 @@ S(N(rho)) - S(N~(rho)), with N~(rho) the environment output of the
 canonical dilation of the Kraus list.  On top of that single quantity
 this module provides:
 
-* the maximum over inputs for a fixed channel (Bloch-ball simplex search,
-  restarted from the best-scoring candidate inputs, at most 13),
+* the maximum over inputs for a fixed channel (a Bloch-ball simplex search that
+  evaluates the outputs as affine maps of the Bloch vector, best candidates first),
 * the maximum over environment states and inputs for a two-qubit gate
   (the separable-helper capacity): the amplitude-damping capacity in closed
   form for gates that commute with every u (x) u, such as the swap powers,
@@ -36,6 +36,7 @@ from .degradability import (
     bloch_sphere_grid,
 )
 from .linalg import (
+    _in_ball,
     bloch_density,
     bloch_state,
     check_density_matrix,
@@ -105,14 +106,32 @@ def coherent_info(c: KrausChannel, rho) -> float:
 
 def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
     """Coherent information from Kraus stacks (..., k, out, in) and inputs
-    (..., in, in), broadcast over the leading axes.
+    (..., in, in), broadcast over the leading axes."""
+    return _entropy_gap(*_outputs(kraus, rho))
 
-    The complement comes from the canonical dilation of the Kraus list.
-    """
+
+def _outputs(kraus: np.ndarray, rho: np.ndarray):
+    """N(rho) and N~(rho), the complement from the canonical dilation of the Kraus list."""
     kc = kraus.conj()
-    out = np.einsum("...kba,...ac,...kdc->...bd", kraus, rho, kc)
-    comp = np.einsum("...kba,...ac,...lbc->...kl", kraus, rho, kc)
+    return (np.einsum("...kba,...ac,...kdc->...bd", kraus, rho, kc),
+            np.einsum("...kba,...ac,...lbc->...kl", kraus, rho, kc))
+
+
+def _entropy_gap(out, comp):
+    """S(out) - S(comp) over stacks of density matrices."""
     return entropy(out, validate=False) - entropy(comp, validate=False)
+
+
+def _bloch_coherent_info(kraus: np.ndarray):
+    """Coherent information of a Kraus stack (k, out, 2) at Bloch vectors (B, 3), clipped as by
+    :func:`bloch_density`: N and N~ are affine in r, their maps read off I/2 and (I + sigma_i)/2."""
+    maps = [(m[0], (m[1:] - m[0]).reshape(3, -1))
+            for m in _outputs(kraus, bloch_density(np.eye(4, 3, -1)))]
+
+    def objective(x):
+        r = _in_ball(x)
+        return _entropy_gap(*(m0 + (r @ m).reshape(-1, *m0.shape) for m0, m in maps))
+    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +235,11 @@ _RHO_CANDIDATES = np.vstack([np.zeros(3)] + [r * np.vstack([np.eye(3), -np.eye(3
 def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Maximum coherent information over the Bloch ball of qubit inputs.
 
-    Multi-restart downhill-simplex search from the ``opts.restarts``
-    best-scoring inputs of ``_RHO_CANDIDATES`` (13 at most; best first, ties
-    in candidate order), seeded as the separable helper's.  For degradable
-    channels the objective is concave, so restarts agree and the reported
-    value is within the optimizer tolerance of the true maximum.
+    Multi-restart downhill-simplex search from the ``opts.restarts`` best-scoring
+    inputs of ``_RHO_CANDIDATES`` (13 at most; best first, ties in candidate order),
+    the best score a floor on the value.  The search evaluates the channel's outputs
+    as affine maps of the Bloch vector, so the Kraus stack is contracted once.  For
+    degradable channels the objective is concave, and restarts agree to the tolerance.
     """
     opts = opts or OptimizerOptions()
     if c.dim_in != 2:
@@ -228,8 +247,8 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
     kraus = np.stack(c.kraus)
     scores = _coherent_info(kraus, bloch_density(_RHO_CANDIDATES))
     starts = _RHO_CANDIDATES[np.argsort(-scores, kind="stable")[: opts.restarts]]
-    x, value, record = _maximize(lambda x: _coherent_info(kraus, bloch_density(x)), starts,
-                                 0.25, opts.tol, opts.max_iters)
+    x, value, record = _maximize(_bloch_coherent_info(kraus), starts, 0.25, opts.tol,
+                                 opts.max_iters, best=(starts[0], float(scores.max())))
     return CapacityResult(value=float(value), argmax_input=bloch_density(x),
                           diagnostics={"raw_value": float(value), **record})
 

@@ -52,31 +52,37 @@ def _rows_to_csv(cfg: ExperimentConfig, header, rows) -> str:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         lines.append(f"# generated: {stamp}")
     lines.append(",".join(header))
-    memo = {}
-
-    def cell(x) -> str:
-        # each distinct value once; in the key, the type tells True, 1 and 1.0 apart,
-        # and a zero's text tells -0.0 from 0.0
-        key = (type(x), x, x == 0 and str(x))
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _format_value(x)
-        return text
-
+    cell = _memo(_format_value)
     lines.extend(",".join(map(cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
+def _memo(encode):
+    """``encode`` evaluated once per distinct value; in the key, the type tells
+    True, 1 and 1.0 apart, and a zero's text tells -0.0 from 0.0."""
+    memo = {}
+    def cell(x) -> str:
+        key = (type(x), x, x == 0 and str(x))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = encode(x)
+        return text
+    return cell
+
+
 def _rows_to_json(header, rows) -> str:
-    return "\n".join(json.dumps({key: x if isinstance(x, (bool, int, float)) else _json_value(x)
-                                 for key, x in zip(header, row)}, sort_keys=True)
+    """Rows as ``json.dumps(dict(zip(header, row)), sort_keys=True)``, values encoded once."""
+    cols = sorted({key: i for i, key in enumerate(header)}.items())
+    cols = [(json.dumps(key) + ": ", i) for key, i in cols]
+    cell = _memo(_json_value)
+    return "\n".join("{" + ", ".join(key + cell(row[i]) for key, i in cols) + "}"
                       for row in rows) + "\n"
 
 
-def _json_value(x):
-    """numpy bools and integers as Python's, so that JSON holds them as such; other
-    values as text."""
-    return x.item() if isinstance(x, (np.bool_, np.integer)) else str(x)
+def _json_value(x) -> str:
+    """JSON text of a cell: numpy bools and integers as Python's, non-numbers as text."""
+    x = x.item() if isinstance(x, (np.bool_, np.integer)) else x
+    return json.dumps(x if isinstance(x, (bool, int, float)) else str(x))
 
 
 def _floats(text: str) -> tuple:

@@ -134,12 +134,17 @@ def bloch_state(theta, phi) -> np.ndarray:
     return out
 
 
+def _in_ball(r) -> np.ndarray:
+    """Bloch vectors over the last axis of ``r``, scaled into the unit ball."""
+    r = np.asarray(r, dtype=float)
+    return r / np.maximum(np.sqrt((r * r).sum(-1, keepdims=True)), 1.0)
+
+
 def bloch_density(r) -> np.ndarray:
     """Qubit density matrices (I + r.sigma)/2 over the last axis of ``r``;
     vectors outside the unit ball are scaled onto its surface."""
-    r = np.asarray(r, dtype=float)
-    bx, by, bz = np.moveaxis(r / np.maximum(np.sqrt((r * r).sum(-1, keepdims=True)), 1.0), -1, 0)
-    out = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
+    bx, by, bz = np.moveaxis(_in_ball(r), -1, 0)
+    out = np.empty(np.shape(r)[:-1] + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 0, 1] = 1 + bz, bx - 1j * by
     out[..., 1, 0], out[..., 1, 1] = bx + 1j * by, 1 - bz
     return 0.5 * out

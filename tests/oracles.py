@@ -33,12 +33,14 @@ helpers that only tests need:
 * the fold and the region tests one point at a time in Python floats
   (:func:`fold_by_python`, :func:`in_antidegradable_by_python`,
   :func:`in_degradable_by_python`), the states where the normal form's
-  two Kraus weights tie (:func:`degenerate_weights`), and the CLI's CSV
-  text formatted cell by cell (:func:`csv_by_value`).
+  two Kraus weights tie (:func:`degenerate_weights`), the CLI's CSV
+  text formatted cell by cell (:func:`csv_by_value`) and its JSON text
+  with one ``json.dumps`` per row (:func:`json_by_row`).
 """
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 import numpy as np
@@ -519,3 +521,15 @@ def csv_by_value(cfg, header, rows) -> str:
     lines = [f"# envcap {__version__}", f"# config: {cfg.to_json()}", ",".join(header)]
     lines += [",".join(_format_value(x) for x in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def json_by_row(header, rows) -> str:
+    """The CLI's JSON text with one ``json.dumps(..., sort_keys=True)`` per
+    row: numpy bools and integers as Python's, Python bools and numbers as
+    they are, every other value as its text."""
+    def value(x):
+        if isinstance(x, (np.bool_, np.integer)):
+            return x.item()
+        return x if isinstance(x, (bool, int, float)) else str(x)
+    return "\n".join(json.dumps({key: value(x) for key, x in zip(header, row)}, sort_keys=True)
+                     for row in rows) + "\n"

@@ -38,6 +38,7 @@ from oracles import (
     b2_best_over_theta,
     csv_by_value,
     degenerate_weights,
+    json_by_row,
     same_bits,
     two_copy_by_kron,
 )
@@ -342,8 +343,9 @@ class TestCommandTable:
 
 
 class TestWriters:
-    """The CSV writer formats each distinct value of a table once; its text
-    is the plain per-value join of :func:`oracles.csv_by_value`."""
+    """The CSV and JSON writers encode each distinct value of a table once;
+    their text is the plain per-value join of :func:`oracles.csv_by_value`
+    and the one ``json.dumps`` per row of :func:`oracles.json_by_row`."""
 
     #: Values that compare equal yet print apart, with their text.
     CELLS = [(True, "true"), (1, "1"), (1.0, "1.0000000000000000e+00"),
@@ -374,6 +376,23 @@ class TestWriters:
         cfg = _merge_config(build_parser().parse_args([name, *QUICK[name][0], "--no-timestamp"]))
         header, rows = run_experiment(cfg)
         assert _rows_to_csv(cfg, header, rows) == csv_by_value(cfg, header, rows)
+        assert _rows_to_json(header, rows) == json_by_row(header, rows)
+
+    def test_json_mixed_rows(self):
+        # values that compare equal yet encode apart, text JSON must escape,
+        # and keys out of order, one of them not ASCII
+        values = [x for x, _ in self.CELLS] + [
+            np.int64(-7), np.uint8(3), "naïve, “quoted”", "tab\there", "", "0", "1.0", "true"]
+        header = ("z", "a", "é", "m")
+        n = len(values)
+        rows = [tuple(values[(i + 3 * j) % n] for j in range(4)) for i in range(2 * n)]
+        text = _rows_to_json(header, rows)
+        assert text == json_by_row(header, rows)
+        lines = text.splitlines()
+        assert len(lines) == len(rows)
+        assert lines[0] == '{"a": 0.0, "m": -Infinity, "z": true, "\\u00e9": 0}'
+        assert lines[1] == '{"a": -0.0, "m": 0.1, "z": 1, "\\u00e9": NaN}'
+        assert _rows_to_json(header, []) == json_by_row(header, []) == "\n"
 
     def test_numpy_scalars_print_as_python_ones(self):
         for x, y in [(np.True_, True), (np.False_, False), (np.int64(-7), -7), (np.uint8(3), 3)]:
@@ -444,6 +463,12 @@ PINNED_CSV = {
     "region_scan --grid 17": "77aa63aef94b0d2e6391ba3f755ad0d67982b209e68675eea8c7b34a93c616f6",
     "classify --grid 8 --params 0.3,0.2,0.1":
         "3f4c5e2c3ad9c9f25f924038c2e17cc126c3558bee7175d0662b0496fa89d3dd",
+    # the jammer's value path: L exact, the argmax from its sign
+    "jammer": "490feb3208dff3b2a12e98ef3c38228731bcedb85c319ccd6e7d9d18d824524c",
+    "jammer --params 0.1,0.05,0.02":
+        "9f58979d7b50894b28a5a666960e186aa6d70daf75cd34c5190889d91f7502f0",
+    "jammer --params 0.3,0.2,0.1":
+        "35f266df3140d6310c8647e5863a169dd02a983de32035d30b38ce05e801f218",
 }
 
 
