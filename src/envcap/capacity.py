@@ -17,13 +17,16 @@ this module provides:
 * coherent information of two gates run in parallel on an entangled
   environment (five-qubit output state read off the gates' columns, no
   32 x 32 matrix, stacked over gate pairs), and
-* the entangled-helper capacity of the fractional swaps, maximized over
-  a closed-form objective.
+* the entangled-helper capacity of the fractional swaps, from a
+  closed-form objective over the helper's Schmidt weight and the input:
+  its centre in closed form below gamma_c = 0.642893..., where the centre
+  stops being a maximum, and a grid-seeded simplex search from there on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -510,30 +513,71 @@ def _helper_objective(factors, lam, mu):
     return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
 
 
+def _centre_curvature(s):
+    """Determinant of the objective's Hessian in (lam, mu) at the centre (1/2, 1/2), in
+    closed form for 0 < s < 1, s = sin^2(pi gamma / 2): 2 (s - 1) g / (s ln^2 2), with
+    g = (1 + 3s)(4s^2 - 2s - 1) ln((1 + 3s)/(1 - s)) + 4s.  The lam-lam entry
+    (s - 1)((1 + 3s) ln((1 + 3s)/(1 - s)) + 4s(2s - 1)) / (2s ln 2) is negative, so the
+    centre is a local maximum while the determinant is positive: up to its one sign
+    change on (0, 1)."""
+    a = np.log1p(3 * s) - np.log1p(-s)
+    return 2 * (s - 1) * ((1 + 3 * s) * (4 * s * s - 2 * s - 1) * a + 4 * s) / (s * np.log(2) ** 2)
+
+
+@cache
+def _symmetric_branch_end() -> float:
+    """s_c = 0.71699..., gamma_c = 0.642893...: the sign change of :func:`_centre_curvature`,
+    bisected to float resolution on the first call that asks for it."""
+    return find_zero_crossing(_centre_curvature, 0.5, 0.9, 1e-300)
+
+
 def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Maximum entangled-helper coherent information of the fractional swap.
 
-    Maximizes the closed-form objective over the helper Schmidt weight
-    lam and the diagonal input weight mu on a uniform grid, then refines
-    with simplex runs seeded from the best cell and from fixed
-    geometrically spaced points next to the mu corners (the optimum
-    migrates there as gamma grows).  Values below the resolution floor
-    are reported as exactly zero; the raw optimum is kept in the
-    diagnostics.  ``opts.tol`` is unused: the 1e-5 simplex tolerance is tied to the floor.
+    The closed-form objective, over the helper Schmidt weight lam and the
+    diagonal input weight mu, depends on gamma only through
+    s = sin^2(pi gamma / 2) and is symmetric under (lam, mu) -> (1 - lam, 1 - mu),
+    so the centre (1/2, 1/2) is always stationary.  Below s_c
+    (gamma_c = 0.642893...), where :func:`_centre_curvature` changes sign, the
+    result is the centre: helper (|00> + |11>)/sqrt(2), input I/2, and the value
+    H((1 + 3s)/4, (1 - s)/4 x 3) - 1, the a1 curve's, with no optimizer call.
+    That value is exact at the centre; that the centre is the global maximum
+    is an estimate: the Hessian makes it a local one (at gamma = 0, where the
+    Hessian is singular, it reaches the one-bit bound), and the grid-and-simplex
+    search finds nothing higher there.  The diagnostics report the ``curvature``
+    and an empty restart record.
+
+    From s_c on, the optimum splits into a mirror pair that moves to the mu
+    corners, and the function searches: a uniform grid, then simplex runs
+    seeded from the best cell and from fixed geometrically spaced points next
+    to the mu corners.  ``opts.tol`` is unused: the 1e-5 simplex tolerance is
+    tied to the floor.  On both branches values at or below the resolution
+    floor are reported as exactly zero; the raw optimum is kept in the
+    diagnostics.  A non-finite gamma raises ``ValueError``.
     """
-    opts = opts or OptimizerOptions()
-    n = opts.grid
-    xs = np.linspace(0.0, 1.0, n)
-    lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
-    factors = _swap_factors(gamma)
-    vals = _helper_objective(factors, lam_g, mu_g)
-    i = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    starts = [[lam_g[i], mu_g[i]]] + [[0.5, m] for m0 in _CORNER_SEEDS for m in (m0, 1.0 - m0)]
-    z, raw, record = _maximize(lambda z: _helper_objective(factors, *np.clip(z, 0.0, 1.0).T),
-                               starts, max(0.5 / (n - 1), 2e-5), 1e-5, opts.max_iters,
-                               best=(starts[0], float(vals[i])))
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    s = float(np.sin(np.pi * gamma / 2) ** 2)
+    if s < _symmetric_branch_end():
+        lam = mu = 0.5
+        raw = float(entropy_terms(np.array([1 + 3 * s, 1 - s, 1 - s, 1 - s]) / 4).sum() - 1)
+        # at s = 0 the objective is h(mu) whatever lam is: the Hessian is singular
+        diag = {"curvature": float(_centre_curvature(s)) if s else 0.0, **_record([], 0, 0)}
+    else:
+        opts = opts or OptimizerOptions()
+        n = opts.grid
+        xs = np.linspace(0.0, 1.0, n)
+        lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
+        factors = _swap_factors(gamma)
+        vals = _helper_objective(factors, lam_g, mu_g)
+        i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        starts = [[lam_g[i], mu_g[i]]] + [[0.5, m] for m0 in _CORNER_SEEDS for m in (m0, 1.0 - m0)]
+        z, raw, record = _maximize(lambda z: _helper_objective(factors, *np.clip(z, 0.0, 1.0).T),
+                                   starts, max(0.5 / (n - 1), 2e-5), 1e-5, opts.max_iters,
+                                   best=(starts[0], float(vals[i])))
+        lam, mu = np.clip(z, 0.0, 1.0).tolist()
+        diag = {"grid": n, **record}
     value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0
-    lam, mu = np.clip(z, 0.0, 1.0).tolist()
     kappa = np.zeros(4, complex)
     kappa[0], kappa[3] = np.sqrt(lam), np.sqrt(1 - lam)
     return CapacityResult(
@@ -541,5 +585,5 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
         argmax_input=np.diag([mu, 1 - mu]).astype(complex),
         argmax_env=kappa,
         diagnostics={"raw_value": float(raw), "lam": lam, "mu": mu,
-                     "grid": n, "floor": HELPER_CAPACITY_FLOOR, **record},
+                     "floor": HELPER_CAPACITY_FLOOR, **diag},
     )

@@ -12,8 +12,11 @@ helpers that only tests need:
 * channels of a two-qubit gate besides the effective one: the channel
   into the environment (:func:`complementary_channel`), the channel to
   the receiver and an entangled helper (:func:`entangled_env_channel`),
-  and the closed-form helper outputs of the fractional swap
-  (:func:`swap_power_helper_outputs`);
+  the closed-form helper outputs of the fractional swap
+  (:func:`swap_power_helper_outputs`), its entangled-helper capacity by
+  grid-and-simplex search at every gamma
+  (:func:`swap_power_helper_by_search`) and the Hessian of its objective
+  at the centre of the (lam, mu) square (:func:`centre_hessian`);
 * Kraus-list operations: :func:`apply_channel`,
   :func:`complement_channel`, :func:`choi_state`,
   :func:`channel_reduction_b`, and the Choi-spectrum
@@ -54,7 +57,17 @@ from envcap.canonical import (
     fold_to_fundamental,
     in_antidegradable_region,
 )
-from envcap.capacity import _helper_terms, _maximize, _swap_factors, coherent_info
+from envcap.capacity import (
+    _CORNER_SEEDS,
+    HELPER_CAPACITY_FLOOR,
+    CapacityResult,
+    OptimizerOptions,
+    _helper_objective,
+    _helper_terms,
+    _maximize,
+    _swap_factors,
+    coherent_info,
+)
 from envcap.channels import (
     KRAUS_WEIGHT_FLOOR,
     BipartiteUnitary,
@@ -195,6 +208,47 @@ def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
     rho_hb = np.diag(diag_hb).astype(complex)
     rho_hb[0, 3], rho_hb[3, 0] = root * z, root * np.conj(z)
     return rho_hb, np.diag(diag_f).astype(complex)
+
+
+def swap_power_helper_by_search(gamma: float, opts: OptimizerOptions | None = None) -> CapacityResult:
+    """Entangled-helper capacity of the fractional swap by search at every gamma:
+    the objective on a uniform (lam, mu) grid, then simplex runs seeded from the
+    best cell and from geometrically spaced points next to the mu corners, with
+    the resolution floor applied.  The library searches this way only from
+    gamma_c on and takes the centre's closed form below it."""
+    opts = opts or OptimizerOptions()
+    n = opts.grid
+    xs = np.linspace(0.0, 1.0, n)
+    lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
+    factors = _swap_factors(gamma)
+    vals = _helper_objective(factors, lam_g, mu_g)
+    i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    starts = [[lam_g[i], mu_g[i]]] + [[0.5, m] for m0 in _CORNER_SEEDS for m in (m0, 1.0 - m0)]
+    z, raw, record = _maximize(lambda z: _helper_objective(factors, *np.clip(z, 0.0, 1.0).T),
+                               starts, max(0.5 / (n - 1), 2e-5), 1e-5, opts.max_iters,
+                               best=(starts[0], float(vals[i])))
+    value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0
+    lam, mu = np.clip(z, 0.0, 1.0).tolist()
+    kappa = np.zeros(4, complex)
+    kappa[0], kappa[3] = np.sqrt(lam), np.sqrt(1 - lam)
+    return CapacityResult(
+        value=float(value),
+        argmax_input=np.diag([mu, 1 - mu]).astype(complex),
+        argmax_env=kappa,
+        diagnostics={"raw_value": float(raw), "lam": lam, "mu": mu,
+                     "grid": n, "floor": HELPER_CAPACITY_FLOOR, **record},
+    )
+
+
+def centre_hessian(s):
+    """Hessian (2, 2, ...) in (lam, mu) of the fractional swap's entangled-helper
+    objective at the centre (1/2, 1/2), in closed form at s = sin^2(pi gamma / 2)
+    in (0, 1), derived symbolically."""
+    a = np.log1p(3 * s) - np.log1p(-s)
+    ll = (s - 1) * ((1 + 3 * s) * a + 4 * s * (2 * s - 1))
+    lm = (1 - s) * (4 * s * (2 * s + 1) - (1 + 3 * s) * a)
+    mm = (s - 1) * (1 + 3 * s) * a + 4 * s * (2 * s - 1) * (s + 1)
+    return np.array([[ll, lm], [lm, mm]]) / (2 * s * np.log(2))
 
 
 def apply_channel(c: KrausChannel, rho) -> np.ndarray:

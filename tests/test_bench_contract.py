@@ -2,11 +2,11 @@
 
 The benchmark reaches envcap by name (``envcap.haar_unitary``,
 ``capacity.minimize``, ``degradability.degradability_index`` on raw
-matrices, ...).  These tests build its workloads, run the jammer and
-tables items against ``perfbench/refs.json``, compare the index kernel
-with its scalar path and patch the tracer in and out, so a cleanup that
-removes a name the benchmark uses, or changes a table's digest, fails
-here.
+matrices, ...).  These tests build its workloads, run the helper, jammer
+and tables items against ``perfbench/refs.json``, compare the index
+kernel with its scalar path and patch the tracer in and out, so a cleanup
+that removes a name the benchmark uses, moves a value past the
+benchmark's tolerance, or changes a table's digest, fails here.
 """
 
 import importlib
@@ -41,6 +41,14 @@ def test_every_workload_builds_with_passing_checks(bench, refs, tmp_path):
         items, checks = workloads.build(name, 1, refs, tmp_path)
         assert items, name
         assert checks == [None] * len(checks), (name, checks)
+
+
+def test_helper_items_match_their_references(bench, refs, tmp_path):
+    workloads, _ = bench
+    items, _ = workloads.build("helper_sweep", 1, refs, tmp_path)
+    assert len(items) == 64
+    for item in items:
+        assert item.check(item.call()) is None, item.label
 
 
 def test_jammer_items_match_their_references(bench, refs, tmp_path):

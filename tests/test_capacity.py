@@ -14,10 +14,12 @@ from envcap.capacity import (
     BracketError,
     OptimizerOptions,
     _bloch_coherent_info,
+    _centre_curvature,
     _coherent_info,
     _helper_objective,
     _helper_terms,
     _swap_factors,
+    _symmetric_branch_end,
     coherent_info,
     find_zero_crossing,
     jammer_value,
@@ -40,6 +42,7 @@ from envcap.linalg import (
 from oracles import (
     apply_channel,
     binary_entropy,
+    centre_hessian,
     entangled_env_channel,
     entangled_helper_coherent_info,
     jammer_affine,
@@ -50,6 +53,7 @@ from oracles import (
     random_density_matrix,
     random_pure_state,
     same_bits,
+    swap_power_helper_by_search,
     swap_power_helper_outputs,
     symmetric_helper_by_golden,
     tensor,
@@ -61,6 +65,8 @@ PI = np.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
 KET0 = np.array([1, 0], dtype=complex)
 FAST_OPTS = OptimizerOptions(restarts=4, grid=32, max_iters=400)
+#: Where the entangled helper's maximum leaves the centre (1/2, 1/2).
+GAMMA_C = 2 / PI * np.arcsin(np.sqrt(_symmetric_branch_end()))
 
 #: (canonical point in units of pi, jammer value) of gates with a positive
 #: value, frozen from the nested max-min search at its default 17/9 grids.
@@ -832,7 +838,8 @@ class TestRestartRecord:
                    separable_helper_capacity(swap_power(0.3), opts),  # 1-d branch
                    # a dressed SWAP takes the search and has no degradable cell
                    separable_helper_capacity(np.kron(np.diag([1, 1j]), np.eye(2)) @ SWAP, opts),
-                   swap_power_helper_capacity(0.6, opts),
+                   swap_power_helper_capacity(0.6, opts),  # the centre, no search
+                   swap_power_helper_capacity(0.7, opts),  # the search past gamma_c
                    jammer_value(CNOT, opts)]
         for res in results:
             d = res.diagnostics
@@ -940,8 +947,10 @@ class TestNelderMead:
                                                     (0.6, 0.23610676138740194, 783),
                                                     (0.74, 0.00013491156838341123, 637)])
     def test_frozen_helper_values(self, gamma, value, nfev):
-        # frozen from sequential scipy Nelder-Mead runs with the same step rules
-        res = swap_power_helper_capacity(gamma)
+        # frozen from sequential scipy Nelder-Mead runs with the same step rules; the
+        # library searches only past gamma_c, so 0.3 and 0.6 run the search oracle
+        search = swap_power_helper_capacity if gamma > GAMMA_C else swap_power_helper_by_search
+        res = search(gamma)
         d = res.diagnostics
         assert res.value == pytest.approx(value, abs=1e-12)
         assert d["nfev"] == nfev
@@ -1001,3 +1010,84 @@ class TestHelperCapacity:
 
     def test_positive_below_threshold(self):
         assert swap_power_helper_capacity(0.74, FAST_OPTS).value > 1e-5
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            swap_power_helper_capacity(gamma)
+
+    def test_depends_on_gamma_through_sin_squared(self):
+        # s = sin^2(pi gamma / 2) is the same at 1.5 and 0.5 to round-off, and at
+        # -0.2 and 0.2 bit for bit
+        assert swap_power_helper_capacity(1.5).value == pytest.approx(
+            swap_power_helper_capacity(0.5).value, abs=1e-15)
+        assert swap_power_helper_capacity(-0.2).value == swap_power_helper_capacity(0.2).value
+
+
+class TestHelperCentre:
+    """Below gamma_c the maximum is the centre (1/2, 1/2) of the (lam, mu)
+    square, in closed form; past it the search runs as before."""
+
+    def test_every_eh_swap_row_matches_the_search_oracle(self):
+        below = 0
+        for gamma in np.linspace(0.0, 1.0, 64):
+            got, want = swap_power_helper_capacity(gamma), swap_power_helper_by_search(gamma)
+            if gamma < GAMMA_C:
+                below += 1
+                assert abs(got.value - want.value) <= 1e-10, gamma
+                assert got.value >= want.value - 1e-15, gamma
+                assert got.diagnostics["nfev"] == 0
+            else:
+                assert got.value == want.value and np.array_equal(got.argmax_env, want.argmax_env)
+                assert got.diagnostics == want.diagnostics, gamma
+        assert below == 41
+
+    def test_closed_form_reports_the_centre(self):
+        res = swap_power_helper_capacity(0.5)
+        d = res.diagnostics
+        # the a2 curve at t = 0: SWAP paired with sqrt(SWAP)
+        assert res.value == pytest.approx(0.5487949406953987, abs=1e-15)
+        assert np.allclose(res.argmax_env, maximally_entangled(2), atol=0, rtol=1e-15)
+        assert np.array_equal(res.argmax_input, np.eye(2) / 2)
+        assert d["lam"] == d["mu"] == 0.5 and d["raw_value"] == res.value
+        assert d["floor"] == capacity.HELPER_CAPACITY_FLOOR and d["curvature"] > 0
+        assert {k: d[k] for k in RESTART_RECORD} == capacity._record([], 0, 0)
+        assert swap_power_helper_capacity(0.0).value == 1.0
+
+    def test_closed_form_is_the_objective_at_the_centre(self):
+        for gamma in (0.05, 0.2, 0.4, 0.6, 0.64):
+            got = swap_power_helper_capacity(gamma).value
+            assert got == pytest.approx(float(_helper_objective(_swap_factors(gamma), 0.5, 0.5)),
+                                        abs=1e-14)
+            assert got == pytest.approx(a1_eigenvalue_formula(gamma), abs=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.45, 0.7, 0.95])
+    def test_objective_mirror_symmetry(self, gamma):
+        lam, mu = np.random.default_rng(int(gamma * 100)).uniform(0.0, 1.0, (2, 1000))
+        factors = _swap_factors(gamma)
+        assert np.abs(_helper_objective(factors, lam, mu)
+                      - _helper_objective(factors, 1 - lam, 1 - mu)).max() <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.64, 0.7, 0.9])
+    def test_hessian_matches_central_differences(self, gamma):
+        h, factors = 1e-4, _swap_factors(gamma)
+
+        def f(dl, dm):
+            return float(_helper_objective(factors, 0.5 + dl * h, 0.5 + dm * h))
+
+        fd = np.array([[f(1, 0) - 2 * f(0, 0) + f(-1, 0),
+                        (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / 4],
+                       [0.0, f(0, 1) - 2 * f(0, 0) + f(0, -1)]]) / h ** 2
+        fd[1, 0] = fd[0, 1]
+        s = np.sin(PI * gamma / 2) ** 2
+        hess = centre_hessian(s)
+        assert np.abs(hess - fd).max() <= 1e-6
+        assert _centre_curvature(s) == pytest.approx(np.linalg.det(hess), rel=1e-12)
+
+    def test_curvature_changes_sign_once(self):
+        s = np.linspace(0.0, 1.0, 4001)[1:-1]
+        det = _centre_curvature(s)
+        assert np.count_nonzero(np.diff(np.sign(det))) == 1
+        assert (det[s < _symmetric_branch_end()] > 0).all()
+        assert (centre_hessian(s)[0, 0] < 0).all()
+        assert abs(GAMMA_C - 0.642893) <= 1e-6
