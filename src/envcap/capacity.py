@@ -13,7 +13,9 @@ this module provides:
   and a grid-seeded simplex search for the rest,
 * the max-min value against an adversarial environment (single copy), in
   closed form at the maximally mixed input and environment, bracketed
-  above by the input maximum of that one channel,
+  above by the input maximum of that one channel: exactly 0 where a
+  symmetric-extension test on its Choi state finds it anti-degradable,
+  a search estimate elsewhere,
 * coherent information of two gates run in parallel on an entangled
   environment (five-qubit output state read off the gates' columns, no
   32 x 32 matrix, stacked over gate pairs), and
@@ -25,6 +27,7 @@ this module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -62,6 +65,11 @@ _CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 #: Gate pairs per stacked two-copy evaluation; bounds its (n, 4, 4, 8) temporaries.
 _TWO_COPY_CHUNK = 256
+
+#: Symmetric-extension slack above which :func:`jammer_value` takes N_{I/2} as
+#: anti-degradable: round-off in sqrt(det J) is about 1e-8 at worst, when an
+#: eigenvalue of the Choi state J is near zero.
+_EXTENSION_MARGIN = 1e-6
 
 #: Nelder-Mead reflection, expansion, outside and inside contraction as
 #: a * centroid - c * worst vertex, in scipy's arithmetic: rows (a, c).
@@ -360,6 +368,23 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
 # adversarial (jammer) value, single copy
 # ---------------------------------------------------------------------------
 
+def _extension_slack(kraus: np.ndarray) -> float:
+    """Tr J_B^2 - Tr J^2 + 4 sqrt(det J) of the Choi state J of a qubit Kraus stack
+    (k, 2, 2), with J_B its output marginal.
+
+    A two-qubit state has a symmetric extension on B iff this is >= 0 (Myhr &
+    Lutkenhaus, "Spectrum conditions for symmetric extendible states", 2009; Chen,
+    Ji, Kribs, Lutkenhaus & Zeng, "Symmetric extension of two-qubit states", 2014),
+    and a channel is anti-degradable iff its Choi state has one on the output.  The
+    slack is invariant under unitaries on the input and the output.
+    """
+    psi = kraus.transpose(0, 2, 1).reshape(-1, 4) / np.sqrt(2)  # (I (x) K)|Phi>, wires R, B
+    j = psi.T @ psi.conj()
+    j_b = np.einsum("abac->bc", j.reshape(2, 2, 2, 2))
+    w = np.linalg.eigvalsh(j)
+    return float(np.vdot(j_b, j_b).real - w @ w + 4 * np.sqrt(max(0.0, np.prod(w))))
+
+
 def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Single-copy max-min coherent information against an adversarial
     environment, in closed form.
@@ -376,24 +401,34 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     with J >= 0 because a pure input gives zero.  The value max(0, L) is
     exact: L is :func:`coherent_info` of the channel N_{I/2}, whose
     canonical complement has the spectrum of rho_RB, and is reported as
-    ``raw_value``, before the clamp.  U is the
-    :func:`max_coherent_info` estimate of that channel, so the bracket
-    ``(value, U)`` in the diagnostics, reported with U's restart record,
-    is certified only from below.  The argmax is (I/2, I/2) when L > 0,
+    ``raw_value``, before the clamp.  The argmax is (I/2, I/2) when L > 0,
     and (|0><0|, I/2), which reaches zero, otherwise.
+
+    The diagnostics hold the bracket ``(value, U)`` with U's restart record,
+    and the :func:`_extension_slack` of N_{I/2} as ``extension_slack``.  Where
+    the slack exceeds 1e-6 and L <= 0, N_{I/2} is anti-degradable, so U = 0
+    exactly, with no optimizer call and a record of zero restarts; this needs
+    no canonical form, as the slack is invariant under local dressing.  On
+    the other gates, those with L > 0 and those whose slack is at most 1e-6
+    (CNOT's is 0), U is the :func:`max_coherent_info` estimate of that
+    channel, and the bracket is certified only from below.
     """
     opts = opts or OptimizerOptions()
     mixed = bloch_density(np.zeros(3))
     channel = effective_channel(v, mixed)
     low = coherent_info(channel, mixed)
     value = max(0.0, low)
-    upper = max_coherent_info(channel, opts)
+    slack = _extension_slack(np.stack(channel.kraus))
+    if slack > _EXTENSION_MARGIN and low <= 0:  # anti-degradable: Q1 = 0
+        upper = CapacityResult(0.0, diagnostics=_record([], 0, 0))
+    else:
+        upper = max_coherent_info(channel, opts)
     return CapacityResult(
         value=value,
         argmax_input=mixed if low > 0 else projector(_KET0),
         argmax_env=mixed,
         diagnostics={**upper.diagnostics, "raw_value": low,
-                     "bracket": (value, upper.value)},
+                     "bracket": (value, upper.value), "extension_slack": slack},
     )
 
 
@@ -447,13 +482,21 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     """Bisection root of ``f`` on [lo, hi]; endpoints must straddle zero.
 
     Raises ``ValueError`` unless ``lo < hi`` and ``tol > 0``, and
-    :class:`BracketError` when f(lo) and f(hi) have the same sign.
+    :class:`BracketError` when f(lo) and f(hi) have the same sign, or when f
+    is NaN or infinite at an endpoint or a midpoint.
     """
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty: need lo < hi")
     if not tol > 0:
         raise ValueError(f"bisection tolerance must be positive, got {tol}")
-    flo, fhi = f(lo), f(hi)
+
+    def finite(x):
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise BracketError(f"f({x}) = {fx} is not finite")
+        return fx
+
+    flo, fhi = finite(lo), finite(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -465,7 +508,7 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # tol below the float spacing at the root
             break
-        fm = f(mid)
+        fm = finite(mid)
         if fm == 0.0:
             return mid
         if np.sign(fm) == np.sign(flo):
@@ -550,10 +593,11 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
     From s_c on, the optimum splits into a mirror pair that moves to the mu
     corners, and the function searches: a uniform grid, then simplex runs
     seeded from the best cell and from fixed geometrically spaced points next
-    to the mu corners.  ``opts.tol`` is unused: the 1e-5 simplex tolerance is
-    tied to the floor.  On both branches values at or below the resolution
-    floor are reported as exactly zero; the raw optimum is kept in the
-    diagnostics.  A non-finite gamma raises ``ValueError``.
+    to the mu corners: always these 9 starts, as ``opts.restarts`` is unused,
+    and so is ``opts.tol``: the 1e-5 simplex tolerance is tied to the floor.
+    On both branches values at or below the resolution floor are reported as
+    exactly zero; the raw optimum is kept in the diagnostics.  A non-finite
+    gamma raises ``ValueError``.
     """
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")

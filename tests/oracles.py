@@ -28,7 +28,9 @@ helpers that only tests need:
 * the jammer's coherent information through a purification of the input,
   affine in the environment's Bloch vector (:func:`jammer_affine`,
   :func:`jammer_ic`), the objective of the nested max-min search
-  :func:`jammer_search`;
+  :func:`jammer_search`, and the symmetric-extension slack of the
+  canonical gate's channel at the mixed environment from its Pauli weights
+  (:func:`extension_slack_by_pauli_weights`);
 * the separable-helper capacity of a swap-symmetric gate by golden
   section over diagonal inputs, bracketed by the concave upper envelope
   of its last points (:func:`golden_max`, :func:`concave_upper`,
@@ -370,6 +372,19 @@ def jammer_search(v, eta_grid_n: int = 17, rho_grid_n: int = 9, max_iters: int =
     x, val, _ = _maximize(lambda rs: np.array([inner_min(r) for r in rs]), [rho_grid[i0]],
                           0.2, 1e-6, max(60, max_iters // 4))
     return float(val), _clip_ball(x), argmins[x.tobytes()]
+
+
+def extension_slack_by_pauli_weights(params) -> float:
+    """1/2 - sum p^2 + 4 sqrt(prod p) for the canonical gate at ``params``: its channel at
+    the environment I/2 is the Pauli channel of Bloch factors lam_x = cos a_y cos a_z
+    (and permutations), with weights p = (1 +- lam_x +- lam_y +- lam_z)/4 over the
+    sign patterns with an even number of minus signs, the spectrum of its Choi state,
+    whose output marginal is I/2."""
+    ax, ay, az = params
+    lam = np.array([np.cos(ay) * np.cos(az), np.cos(ax) * np.cos(az), np.cos(ax) * np.cos(ay)])
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    p = (1 + signs @ lam) / 4
+    return float(0.5 - p @ p + 4 * np.sqrt(max(0.0, np.prod(p))))
 
 
 #: 1/phi, the golden-section ratio.

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,12 +11,14 @@ from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, sw
 from envcap.channels import BipartiteUnitary, KrausChannel, effective_channel
 from envcap import capacity
 from envcap.capacity import (
+    _EXTENSION_MARGIN,
     _RHO_CANDIDATES,
     BracketError,
     OptimizerOptions,
     _bloch_coherent_info,
     _centre_curvature,
     _coherent_info,
+    _extension_slack,
     _helper_objective,
     _helper_terms,
     _swap_factors,
@@ -43,8 +46,10 @@ from oracles import (
     apply_channel,
     binary_entropy,
     centre_hessian,
+    choi_state,
     entangled_env_channel,
     entangled_helper_coherent_info,
+    extension_slack_by_pauli_weights,
     jammer_affine,
     jammer_ic,
     jammer_search,
@@ -115,6 +120,17 @@ JAMMER_UPPER = (((0.25, 0.25, 0.25), 6.661338147750939e-16),
                  6.661338147750939e-16),
                 ((0.39085497934030433, 0.3124834901262781, 0.037642871691026925),
                  5.551115123125783e-16))
+
+
+def mixed_env_kraus(v) -> np.ndarray:
+    """The Kraus stack of N_{I/2}, the channel whose upper end the jammer bounds."""
+    return np.stack(effective_channel(v, maximally_mixed(2)).kraus)
+
+
+def dress(u, rng):
+    """``u`` between two random local gates."""
+    return (tensor(haar_unitary(2, rng), haar_unitary(2, rng)) @ u
+            @ tensor(haar_unitary(2, rng), haar_unitary(2, rng)))
 
 
 def identity_channel():
@@ -583,8 +599,7 @@ class TestJammerClosedFormHypotheses:
         else:
             u = canonical_unitary(tuple(PI * a for a in params)).matrix
         want = jammer_value(u, FAST_OPTS).value
-        dressed = (tensor(haar_unitary(2, rng), haar_unitary(2, rng)) @ u
-                   @ tensor(haar_unitary(2, rng), haar_unitary(2, rng)))
+        dressed = dress(u, rng)
         assert abs(jammer_value(dressed, FAST_OPTS).value - want) < 1e-12
         assert abs(jammer_value(u.conj(), FAST_OPTS).value - want) < 1e-12
 
@@ -597,6 +612,96 @@ class TestJammerClosedFormHypotheses:
             lo, hi = jammer_value(v, FAST_OPTS).diagnostics["bracket"]
             assert 0.0 <= lo
             assert hi - lo <= 1e-9
+
+
+class TestExtensionSlack:
+    """Tr J_B^2 - Tr J^2 + 4 sqrt(det J) of the Choi state J: non-negative exactly
+    where the channel is anti-degradable, where the jammer's upper end is 0."""
+
+    def test_amplitude_damping_threshold(self):
+        # anti-degradable from decay probability 1/2 on
+        for g in np.linspace(0.0, 1.0, 21):
+            kraus = np.array([[[1, 0], [0, np.sqrt(1 - g)]], [[0, np.sqrt(g)], [0, 0]]], complex)
+            assert abs(_extension_slack(kraus) - (g - 0.5)) < 1e-15
+
+    def test_depolarizing_gates_cross_at_two_thirds(self):
+        # (a, a, a) at I/2 is depolarizing with Bloch factor cos^2 a: extendible to 2/3
+        def slack(a):
+            return _extension_slack(mixed_env_kraus(canonical_unitary((a, a, a))))
+
+        a_c = np.arccos(np.sqrt(2 / 3))
+        assert abs(slack(a_c)) < 1e-12
+        assert abs(find_zero_crossing(slack, 0.0, PI / 4, 1e-12) - a_c) < 1e-10
+        for a in np.linspace(0.0, PI / 2, 33):
+            assert np.sign(slack(a)) == np.sign(a - a_c)
+
+    def test_matches_choi_and_pauli_weight_oracles(self):
+        rng = np.random.default_rng(90)
+        for _ in range(200):
+            a = rng.uniform(-PI, PI, 3)
+            got = _extension_slack(mixed_env_kraus(canonical_unitary(a)))
+            assert abs(got - extension_slack_by_pauli_weights(a)) < 1e-12
+        for k in (1, 2, 4):  # any qubit Kraus stack: columns of a Haar isometry
+            for _ in range(20):
+                kraus = haar_unitary(2 * k, rng)[:, :2].reshape(k, 2, 2)
+                j = choi_state(KrausChannel(tuple(kraus), dim_in=2, dim_out=2))
+                j_b = partial_trace(j, (2, 2), keep=1)
+                want = (np.trace(j_b @ j_b) - np.trace(j @ j)).real \
+                    + 4 * np.sqrt(max(0.0, np.linalg.det(j).real))
+                assert abs(_extension_slack(kraus) - want) < 1e-12
+
+    def test_invariant_under_dressing_and_conjugation(self):
+        rng = np.random.default_rng(91)
+        gates = [haar_unitary(4, rng) for _ in range(10)] + [CNOT]
+        gates += [canonical_unitary(tuple(PI * a for a in p)).matrix for p, _ in JAMMER_POSITIVE]
+        for u in gates:
+            want = _extension_slack(mixed_env_kraus(u))
+            assert abs(_extension_slack(mixed_env_kraus(dress(u, rng))) - want) < 1e-12
+            assert abs(_extension_slack(mixed_env_kraus(u.conj())) - want) < 1e-12
+
+    def test_certificate_is_sound(self):
+        # certified: the input search finds nothing above round-off either; and a
+        # positive L, which an anti-degradable channel cannot have, never certifies
+        rng = np.random.default_rng(92)
+        gates = [haar_unitary(4, rng) for _ in range(100)]
+        gates += [canonical_unitary(tuple(PI * a for a in p)) for p, _ in JAMMER_UPPER[4:]]
+        gates += [canonical_unitary(tuple(PI * a for a in p)) for p, _ in JAMMER_POSITIVE]
+        certified = 0
+        for v in gates:
+            kraus = mixed_env_kraus(v)
+            res = jammer_value(v)
+            d = res.diagnostics
+            assert d["extension_slack"] == _extension_slack(kraus)
+            assert d["raw_value"] <= 0 or d["extension_slack"] <= _EXTENSION_MARGIN
+            if d["extension_slack"] > _EXTENSION_MARGIN:
+                certified += 1
+                assert d["bracket"] == (res.value, 0.0)
+                assert d["restarts"] == 0
+                channel = KrausChannel(tuple(kraus), dim_in=2, dim_out=2)
+                assert max_coherent_info(channel).value <= 1e-13
+            else:
+                assert d["restarts"] == 8
+        assert certified >= 100
+
+    def test_certified_gate_runs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("max_coherent_info called on a certified gate")
+
+        monkeypatch.setattr(capacity, "max_coherent_info", no_search)
+        res = jammer_value(swap_power(0.5))
+        d = res.diagnostics
+        assert d["extension_slack"] > _EXTENSION_MARGIN
+        assert d["raw_value"] == pytest.approx(-0.5487949406953986, abs=1e-12)
+        assert res.value == 0.0
+        assert d["bracket"] == (0.0, 0.0)
+        assert {k: d[k] for k in RESTART_RECORD} == {
+            "restart_values": [], "nfev": 0, "converged": 0, "restarts": 0}
+
+    def test_cnot_sits_on_the_boundary_and_searches(self):
+        assert abs(_extension_slack(mixed_env_kraus(CNOT))) < 1e-15
+        d = jammer_value(CNOT, FAST_OPTS).diagnostics
+        assert d["restarts"] == 4
+        assert d["extension_slack"] <= _EXTENSION_MARGIN
 
 
 class TestTwoCopy:
@@ -706,6 +811,17 @@ class TestZeroCrossing:
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(BracketError):
             find_zero_crossing(lambda x: x + 1.0, 0.0, 1.0, 1e-6)
+
+    @pytest.mark.parametrize("bad,at", [(math.nan, None), (np.float64(np.nan), 0.0),
+                                        (math.nan, 1.0), (math.nan, 0.25),
+                                        (math.inf, 0.25), (-math.inf, 1.0)])
+    def test_non_finite_value_rejected(self, bad, at):
+        # at None f is bad everywhere; 0.25 is the second midpoint, after 0.5
+        def f(x):
+            return bad if at is None or x == at else x - 0.3
+
+        with pytest.raises(BracketError, match="not finite"):
+            find_zero_crossing(f, 0.0, 1.0, 1e-6)
 
     @pytest.mark.parametrize("lo,hi,tol", [(0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
                                            (0.0, 1.0, float("nan")),
@@ -840,7 +956,8 @@ class TestRestartRecord:
                    separable_helper_capacity(np.kron(np.diag([1, 1j]), np.eye(2)) @ SWAP, opts),
                    swap_power_helper_capacity(0.6, opts),  # the centre, no search
                    swap_power_helper_capacity(0.7, opts),  # the search past gamma_c
-                   jammer_value(CNOT, opts)]
+                   jammer_value(CNOT, opts),
+                   jammer_value(swap_power(0.5), opts)]  # certified: no search
         for res in results:
             d = res.diagnostics
             assert RESTART_RECORD <= set(d)
@@ -849,8 +966,15 @@ class TestRestartRecord:
             assert d["nfev"] >= d["restarts"]
         assert results[2].diagnostics["restarts"] == results[4].diagnostics["restarts"] == 0
         assert "bracket" not in results[4].diagnostics
+        assert results[-1].diagnostics["restarts"] == 0
         lo, hi = separable_helper_capacity(swap_power(0.3)).diagnostics["bracket"]
         assert hi - lo <= 1e-9
+
+    def test_helper_search_runs_its_fixed_starts(self):
+        # past gamma_c the entangled helper always runs its 9 fixed starts
+        d = swap_power_helper_capacity(0.7, OptimizerOptions(restarts=2)).diagnostics
+        assert d["restarts"] == 9
+        assert d == swap_power_helper_capacity(0.7).diagnostics
 
     def test_jammer_counts_its_runs(self, monkeypatch):
         # the record is that of the upper bound's input search: one batched

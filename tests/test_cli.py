@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from envcap import experiments
 from envcap.canonical import SWAP, canonical_unitary, swap_power
 from envcap.capacity import two_copy_curve
 from envcap.cli import (
@@ -70,6 +71,12 @@ class TestLocate:
         assert rc == EXIT_BAD_CONFIG
         assert out == ""
         assert "bad configuration" in err
+
+    def test_non_finite_curve_exits_numerical(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "a1_curve", lambda gamma, t=0.0: np.float64(np.nan))
+        rc, out, err = run_cli(["locate", "a1"], capsys)
+        assert (rc, out) == (EXIT_NUMERICAL, "")
+        assert "not finite" in err
 
     def test_bad_target(self, capsys):
         rc, _, _ = run_cli(["locate", "b1"], capsys)
