@@ -2,7 +2,7 @@
 
 The coherent information of a channel N at input rho is
 S(N(rho)) - S(N~(rho)), with N~(rho) the environment output of the
-canonical dilation of the Kraus list.  On top of that single quantity
+canonical dilation of the Kraus stack.  On top of that single quantity
 this module provides:
 
 * the maximum over inputs for a fixed channel (a Bloch-ball simplex search that
@@ -84,12 +84,16 @@ class OptimizerOptions:
     max_iters: int = 500
 
     def __post_init__(self):
+        for name, value in (("restarts", self.restarts), ("grid", self.grid),
+                            ("max_iters", self.max_iters)):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.grid < 2:
             raise ValueError("grid must be >= 2")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -112,7 +116,10 @@ class BracketError(ValueError):
 
 def coherent_info(c: KrausChannel, rho) -> float:
     """S(N(rho)) - S(N~(rho)) in bits."""
-    return float(_coherent_info(np.stack(c.kraus), check_density_matrix(rho)))
+    rho = check_density_matrix(rho)
+    if rho.shape != (c.dim_in, c.dim_in):
+        raise ValueError(f"input shape {rho.shape} != channel input dim {c.dim_in}")
+    return float(_coherent_info(c.kraus, rho))
 
 
 def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
@@ -122,7 +129,7 @@ def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
 
 
 def _outputs(kraus: np.ndarray, rho: np.ndarray):
-    """N(rho) and N~(rho), the complement from the canonical dilation of the Kraus list."""
+    """N(rho) and N~(rho), the complement from the canonical dilation of the Kraus stack."""
     kc = kraus.conj()
     return (np.einsum("...kba,...ac,...kdc->...bd", kraus, rho, kc),
             np.einsum("...kba,...ac,...lbc->...kl", kraus, rho, kc))
@@ -255,10 +262,9 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
     opts = opts or OptimizerOptions()
     if c.dim_in != 2:
         raise ValueError("input maximization is implemented for qubit inputs")
-    kraus = np.stack(c.kraus)
-    scores = _coherent_info(kraus, bloch_density(_RHO_CANDIDATES))
+    scores = _coherent_info(c.kraus, bloch_density(_RHO_CANDIDATES))
     starts = _RHO_CANDIDATES[np.argsort(-scores, kind="stable")[: opts.restarts]]
-    x, value, record = _maximize(_bloch_coherent_info(kraus), starts, 0.25, opts.tol,
+    x, value, record = _maximize(_bloch_coherent_info(c.kraus), starts, 0.25, opts.tol,
                                  opts.max_iters, best=(starts[0], float(scores.max())))
     return CapacityResult(value=float(value), argmax_input=bloch_density(x),
                           diagnostics={"raw_value": float(value), **record})
@@ -288,15 +294,16 @@ def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
     Every pure environment u|0> gives the channel rho -> u N(u^dag rho u) u^dag
     of N = N_{|0>}, so |0> is the only environment to evaluate.  The gate is
     aI + bSWAP, and N is amplitude damping of |1> with p = |<01|V|10>|^2, up
-    to a unitary on the output.  Anti-degradable and symmetric N (p >= 1/2)
-    give exactly zero.  Otherwise N is degradable, and its capacity is the
-    maximum over the |1> population q of the concave
+    to a unitary on the output; its degradability index is (1 - p)^2 - p^2 =
+    1 - 2p.  Anti-degradable and symmetric N (p >= 1/2) give exactly zero.
+    Otherwise N is degradable, and its capacity is the maximum over the |1>
+    population q of the concave
     f(q) = h((1 - p) q) - h(p q) (Giovannetti & Fazio, 2005): the root of
     f' by bisection to float resolution, valued by :func:`coherent_info`.
     Concavity bounds the maximum by f(q) + |f'(q)|, the ``bracket``.
     """
     p = float(abs(v.matrix[1, 2]) ** 2)
-    degradable = bool(batch_degradability_index(v, _KET0[None])[0] > SYMMETRIC_TOL)
+    degradable = 1 - 2 * p > SYMMETRIC_TOL
     diag = {"n_degradable": int(degradable), "n_grid": 1, "damping": p, **_record([], 0, 0)}
     if not degradable:
         return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, "bracket": (0.0, 0.0)})
@@ -418,7 +425,7 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     channel = effective_channel(v, mixed)
     low = coherent_info(channel, mixed)
     value = max(0.0, low)
-    slack = _extension_slack(np.stack(channel.kraus))
+    slack = _extension_slack(channel.kraus)
     if slack > _EXTENSION_MARGIN and low <= 0:  # anti-degradable: Q1 = 0
         upper = CapacityResult(0.0, diagnostics=_record([], 0, 0))
     else:
@@ -481,10 +488,12 @@ def two_copy_curve(w, v, theta: float | None = None):
 def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     """Bisection root of ``f`` on [lo, hi]; endpoints must straddle zero.
 
-    Raises ``ValueError`` unless ``lo < hi`` and ``tol > 0``, and
+    Raises ``ValueError`` unless ``lo < hi`` are finite and ``tol > 0``, and
     :class:`BracketError` when f(lo) and f(hi) have the same sign, or when f
     is NaN or infinite at an endpoint or a midpoint.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket [{lo}, {hi}] must have finite endpoints")
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty: need lo < hi")
     if not tol > 0:

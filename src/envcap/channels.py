@@ -3,7 +3,7 @@
 A :class:`BipartiteUnitary` acts on A (x) E and produces B (x) F, with B
 in the slot of A and F in the slot of E (row-major ordering throughout).
 Fixing the environment input to a state eta yields the effective channel
-A -> B, an explicit Kraus operator list (:class:`KrausChannel`).
+A -> B, one Kraus stack (k, out, in) (:class:`KrausChannel`).
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_complex_matrix,
-    check_density_matrix,
-    check_state_vector,
-    check_unitary,
-)
+from .linalg import check_density_matrix, check_state_vector, check_unitary
 
 COMPLETENESS_TOL = 1e-9
 # Kraus weights Tr K^dag K, and spectral weights of a mixed environment,
@@ -39,25 +34,27 @@ class BipartiteUnitary:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map as an ordered Kraus list."""
+    """Completely positive trace-preserving map as a Kraus stack (k, out, in),
+    stored C-contiguous; its dimensions are read off the stack's shape."""
 
-    kraus: tuple
-    dim_in: int
-    dim_out: int
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(as_complex_matrix(k) for k in self.kraus)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})")
-        comp = sum(k.conj().T @ k for k in ops)
-        dev = np.abs(comp - np.eye(self.dim_in)).max()
-        if dev > COMPLETENESS_TOL:
+        ops = np.ascontiguousarray(self.kraus, dtype=complex)
+        if ops.ndim != 3 or not ops.size:
+            raise ValueError(f"expected a nonempty Kraus stack (k, out, in), got shape {ops.shape}")
+        dev = np.abs(np.einsum("kba,kbc->ac", ops.conj(), ops) - np.eye(ops.shape[2])).max()
+        if not dev <= COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated: deviation {dev:.3e}")
         object.__setattr__(self, "kraus", ops)
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus.shape[1]
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -80,19 +77,19 @@ def effective_channel(v, eta) -> KrausChannel:
     v = as_two_qubit(v)
     eta = np.asarray(eta, dtype=complex)
     if eta.ndim == 1:
-        parts = [(1.0, check_state_vector(eta))]
+        w, vecs = np.ones(1), check_state_vector(eta)[None]
     else:
         w, u = np.linalg.eigh(check_density_matrix(eta))
-        parts = [(float(w[j]), u[:, j]) for j in np.argsort(w)[::-1] if w[j] > KRAUS_WEIGHT_FLOOR]
-    if len(parts[0][1]) != 2:
-        raise ValueError(f"environment state dimension {len(parts[0][1])} != 2")
-    v4 = v.matrix.reshape(2, 2, 2, 2)
-    ops = [k for p, vec in parts for k in np.sqrt(p) * np.einsum("bfae,e->fba", v4, vec)]
-    return KrausChannel(tuple(ops), dim_in=2, dim_out=2)
+        keep = [j for j in np.argsort(w)[::-1] if w[j] > KRAUS_WEIGHT_FLOOR]
+        w, vecs = w[keep], u[:, keep].T
+    if vecs.shape[1] != 2:
+        raise ValueError(f"environment state dimension {vecs.shape[1]} != 2")
+    ops = np.einsum("bfae,je->jfba", v.matrix.reshape(2, 2, 2, 2), vecs)
+    return KrausChannel((np.sqrt(w)[:, None, None, None] * ops).reshape(-1, 2, 2))
 
 
 def normal_form_stack(ops) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus normal form of stacks of Kraus lists (..., n, out, in): the
+    """Kraus normal form of Kraus stacks (..., n, out, in): the
     operators that diagonalize the Gram matrix Tr K_i^dag K_j, by descending
     weight Tr K^dag K (ties broken by lexicographic comparison of entries),
     and their weights.  Nothing is dropped."""

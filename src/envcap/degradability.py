@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, normal_form_stack
-from .linalg import bloch_state, check_state_vector, in_chunks
+from .linalg import NORM_TOL, bloch_state, check_state_vector, in_chunks
 
 #: |index| at or below this classifies as symmetric.  The index is a
 #: determinant of exactly representable 2x2 products; its noise floor is
@@ -85,10 +85,19 @@ def _classify(v, etas, tags) -> tuple[list, list]:
     return index.tolist(), np.asarray(tags, dtype=object)[pick].tolist()
 
 
+def _unit_states(etas) -> np.ndarray:
+    """``etas`` as complex state vectors over the last axis, each of norm 1 to NORM_TOL."""
+    etas = np.asarray(etas, dtype=complex)
+    dev = np.abs(np.linalg.norm(etas, axis=-1) - 1.0)
+    if not (dev <= NORM_TOL).all():
+        raise ValueError(f"state vectors are not normalized: ||psi|| off by up to {dev.max()!r}")
+    return etas
+
+
 def classify_envs(v, etas: np.ndarray) -> list[Classification]:
     """Classify the channels induced by pure environment states (n, 2) by
     :func:`degradability_index`; ``|index| <= SYMMETRIC_TOL`` is symmetric."""
-    index, tags = _classify(v, etas, tuple(Degradability))
+    index, tags = _classify(v, _unit_states(etas), tuple(Degradability))
     return list(map(Classification, tags, index))
 
 
@@ -138,7 +147,7 @@ def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
     which unit combination of the two leads; this one does not.  A unitary
     channel has det T_N = 1 and a constant complement: +1.
     """
-    t = _bloch4(etas) @ _transfer_terms(as_two_qubit(v).matrix).reshape(18, 4).T
+    t = _bloch4(_unit_states(etas)) @ _transfer_terms(as_two_qubit(v).matrix).reshape(18, 4).T
     det = np.linalg.det(t.reshape(t.shape[:-1] + (2, 3, 3)))
     return det[..., 0] - det[..., 1]
 
@@ -169,6 +178,8 @@ def _sphere_monomials(grid: int) -> np.ndarray:
 def universally_antidegradable(m, grid: int = 64) -> np.ndarray:
     """:func:`is_universally_antidegradable` of gate matrices (n, 4, 4), taken as
     given: the cubic's coefficients times its monomials, :data:`_SCAN_CHUNK` gates at once."""
+    if not grid >= 2:
+        raise ValueError(f"grid must be >= 2, got {grid!r}")
     mono = _sphere_monomials(grid)
     return in_chunks(lambda g: (_cubic_coefficients(g) @ mono <= SYMMETRIC_TOL).all(1),
                      _SCAN_CHUNK, np.asarray(m, dtype=complex))

@@ -173,7 +173,7 @@ def complementary_channel(v, eta) -> KrausChannel:
     if eta.ndim != 1:
         raise ValueError("complementary_channel requires a pure environment state")
     k = np.einsum("bfae,e->bfa", v.matrix.reshape(2, 2, 2, 2), check_state_vector(eta))
-    return KrausChannel(tuple(k), dim_in=2, dim_out=2)
+    return KrausChannel(k)
 
 
 def entangled_env_channel(v, kappa, dim_h: int | None = None) -> KrausChannel:
@@ -187,7 +187,7 @@ def entangled_env_channel(v, kappa, dim_h: int | None = None) -> KrausChannel:
     if kappa.shape[0] != 2 * dim_h:
         raise ValueError(f"kappa dimension {kappa.shape[0]} != 2 * dim_h = {2 * dim_h}")
     m = np.einsum("bfae,eh->fbha", v.matrix.reshape(2, 2, 2, 2), kappa.reshape(2, dim_h))
-    return KrausChannel(tuple(m.reshape(2, 2 * dim_h, 2)), dim_in=2, dim_out=2 * dim_h)
+    return KrausChannel(m.reshape(2, 2 * dim_h, 2))
 
 
 def entangled_helper_coherent_info(v, kappa, rho, dim_h: int | None = None) -> float:
@@ -267,15 +267,14 @@ def complement_channel(c: KrausChannel) -> KrausChannel:
     The dilation W|psi> = sum_i (K_i|psi>) (x) |i> fixes the environment
     basis; the complement maps A into that index space.
     """
-    stack = np.stack(c.kraus)  # (k, out, in)
-    return KrausChannel(tuple(stack.swapaxes(0, 1)), dim_in=c.dim_in, dim_out=len(c.kraus))
+    return KrausChannel(c.kraus.swapaxes(0, 1))
 
 
 def choi_state(c: KrausChannel) -> np.ndarray:
     """Choi state (id (x) c)(|Phi><Phi|) on R (x) B, unit trace."""
     d = c.dim_in
     # (I_R (x) K) |Phi> for each Kraus operator (R-major), summed as a mixture
-    vecs = (np.stack(c.kraus) @ maximally_entangled(d).reshape(d, d).T).swapaxes(-1, -2)
+    vecs = (c.kraus @ maximally_entangled(d).reshape(d, d).T).swapaxes(-1, -2)
     return projector(vecs.reshape(len(c.kraus), -1)).sum(0)
 
 
@@ -294,11 +293,11 @@ def is_antidegradable_choi(c: KrausChannel, tol: float = 1e-10) -> bool:
     """
     if c.dim_in != 2 or c.dim_out != 2:
         raise ValueError("Choi criterion applies to qubit-to-qubit channels")
-    ops, weights = normal_form_stack(np.stack(c.kraus))
+    ops, weights = normal_form_stack(c.kraus)
     rank = int((weights > KRAUS_WEIGHT_FLOOR).sum())
     if rank > 2:
         raise ValueError(f"environment rank {rank} > 2: Choi criterion inapplicable")
-    nf = KrausChannel(tuple(ops[:rank]), dim_in=2, dim_out=2)
+    nf = KrausChannel(ops[:rank])
     lmax_rb = float(np.linalg.eigvalsh(choi_state(nf)).max())
     lmax_b = float(np.linalg.eigvalsh(channel_reduction_b(nf)).max())
     return lmax_rb <= lmax_b + tol

@@ -233,11 +233,11 @@ def test_criterion_10_property_suites():
     ortho = True
     for _ in range(20):
         ch = effective_channel(haar_unitary(4, rng), random_pure_state(2, rng))
-        ops, _ = normal_form_stack(np.stack(ch.kraus))
+        ops, _ = normal_form_stack(ch.kraus)
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
                 ortho = ortho and abs(np.trace(ops[i].conj().T @ ops[j])) <= 1e-10
-        nf = KrausChannel(tuple(ops), dim_in=2, dim_out=2)
+        nf = KrausChannel(ops)
         ortho = ortho and np.abs(choi_state(nf) - choi_state(ch)).max() <= 1e-10
     checks.append(("Gram orthogonality", ortho))
 

@@ -31,7 +31,12 @@ from envcap.capacity import (
     swap_power_helper_capacity,
     two_copy_curve,
 )
-from envcap.degradability import Degradability, classify_envs
+from envcap.degradability import (
+    SYMMETRIC_TOL,
+    Degradability,
+    batch_degradability_index,
+    classify_envs,
+)
 from envcap.experiments import A3_FAMILIES
 from envcap.linalg import (
     bloch_density,
@@ -124,7 +129,7 @@ JAMMER_UPPER = (((0.25, 0.25, 0.25), 6.661338147750939e-16),
 
 def mixed_env_kraus(v) -> np.ndarray:
     """The Kraus stack of N_{I/2}, the channel whose upper end the jammer bounds."""
-    return np.stack(effective_channel(v, maximally_mixed(2)).kraus)
+    return effective_channel(v, maximally_mixed(2)).kraus
 
 
 def dress(u, rng):
@@ -134,7 +139,7 @@ def dress(u, rng):
 
 
 def identity_channel():
-    return KrausChannel((np.eye(2, dtype=complex),), dim_in=2, dim_out=2)
+    return KrausChannel((np.eye(2, dtype=complex),))
 
 
 def a1_eigenvalue_formula(gamma):
@@ -175,6 +180,10 @@ class TestCoherentInfo:
             ch = effective_channel(haar_unitary(4, rng), random_pure_state(2, rng))
             rho = projector(random_pure_state(2, rng))
             assert abs(coherent_info(ch, rho)) < 1e-9
+
+    def test_input_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="input shape"):
+            coherent_info(identity_channel(), np.eye(3) / 3)
 
 
 class TestMaxCoherentInfo:
@@ -238,7 +247,7 @@ class TestMaxCoherentInfo:
         channels += [effective_channel(haar_unitary(4, rng), random_pure_state(2, rng))
                      for _ in range(3)]
         for ch in channels:
-            scores = _coherent_info(np.stack(ch.kraus), bloch_density(_RHO_CANDIDATES))
+            scores = _coherent_info(ch.kraus, bloch_density(_RHO_CANDIDATES))
             for r, score in zip(_RHO_CANDIDATES, scores):
                 assert abs(score - coherent_info(ch, bloch_density(r))) < 1e-12
             order = sorted(range(13), key=lambda i: -scores[i])[:restarts]
@@ -258,7 +267,7 @@ class TestMaxCoherentInfo:
         # 1, 2 and 4 Kraus operators; Bloch vectors inside, on and outside the ball
         rng = np.random.default_rng(79)
         channels = [identity_channel(),
-                    KrausChannel((haar_unitary(2, rng),), dim_in=2, dim_out=2),
+                    KrausChannel((haar_unitary(2, rng),)),
                     effective_channel(canonical_unitary((PI / 4,) * 3), maximally_mixed(2))]
         channels += [effective_channel(haar_unitary(4, rng), env)
                      for env in (random_pure_state(2, rng), projector(KET0),
@@ -270,7 +279,7 @@ class TestMaxCoherentInfo:
         outside = unit * rng.uniform(1.0, 4.0, (64, 1))
         x = np.vstack([inside, unit, outside, np.zeros(3), _RHO_CANDIDATES, 0.5 * np.eye(3)])
         for ch in channels:
-            kraus = np.stack(ch.kraus)
+            kraus = ch.kraus
             got = _bloch_coherent_info(kraus)(x)
             assert got.shape == (len(x),)
             assert np.abs(got - _coherent_info(kraus, bloch_density(x))).max() <= 1e-14
@@ -288,7 +297,7 @@ class TestMaxCoherentInfo:
         channels += [effective_channel(haar_unitary(4, rng), env)
                      for env in (random_pure_state(2, rng), random_density_matrix(2, rng))
                      for _ in range(4)]
-        scores = [_coherent_info(np.stack(ch.kraus), bloch_density(_RHO_CANDIDATES))
+        scores = [_coherent_info(ch.kraus, bloch_density(_RHO_CANDIDATES))
                   for ch in channels]
         for ch, s in zip(channels, scores):
             for max_iters in (1, 2, 500):
@@ -345,6 +354,20 @@ class TestSeparableHelperCapacity:
                     for g in (u, c, dressed, dressed.conj())]
             assert vals[0] > 0.1
             assert np.ptp(vals) < 1e-7, vals
+
+
+    def test_symmetric_skip_rule_is_the_index_at_ket0(self):
+        # for aI + bSWAP the index at |0> is (1 - p)^2 - p^2 = 1 - 2p, with p the damping
+        # near gamma = 1/2 the index 1 - 2p ~ -pi (gamma - 1/2) straddles SYMMETRIC_TOL
+        gammas = np.concatenate([np.linspace(-1.0, 2.0, 61), 0.5 + 1e-10 * np.arange(-6, 7)])
+        gates = [swap_power(g) for g in gammas]
+        gates += [canonical_unitary((a, a, a)) for a in np.linspace(-PI, PI, 61)]
+        for v in gates:
+            assert capacity._swap_symmetric(v)
+            index = batch_degradability_index(v, KET0[None])[0]
+            res = separable_helper_capacity(v)
+            assert abs(index - (1 - 2 * res.diagnostics["damping"])) < 1e-14
+            assert res.diagnostics["n_degradable"] == int(index > SYMMETRIC_TOL)
 
 
 class TestSeparableHelperSymmetry:
@@ -644,7 +667,7 @@ class TestExtensionSlack:
         for k in (1, 2, 4):  # any qubit Kraus stack: columns of a Haar isometry
             for _ in range(20):
                 kraus = haar_unitary(2 * k, rng)[:, :2].reshape(k, 2, 2)
-                j = choi_state(KrausChannel(tuple(kraus), dim_in=2, dim_out=2))
+                j = choi_state(KrausChannel(kraus))
                 j_b = partial_trace(j, (2, 2), keep=1)
                 want = (np.trace(j_b @ j_b) - np.trace(j @ j)).real \
                     + 4 * np.sqrt(max(0.0, np.linalg.det(j).real))
@@ -677,7 +700,7 @@ class TestExtensionSlack:
                 certified += 1
                 assert d["bracket"] == (res.value, 0.0)
                 assert d["restarts"] == 0
-                channel = KrausChannel(tuple(kraus), dim_in=2, dim_out=2)
+                channel = KrausChannel(kraus)
                 assert max_coherent_info(channel).value <= 1e-13
             else:
                 assert d["restarts"] == 8
@@ -825,7 +848,9 @@ class TestZeroCrossing:
 
     @pytest.mark.parametrize("lo,hi,tol", [(0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
                                            (0.0, 1.0, float("nan")),
-                                           (0.9, 0.5, 1e-6), (0.5, 0.5, 1e-6)])
+                                           (0.9, 0.5, 1e-6), (0.5, 0.5, 1e-6),
+                                           (-math.inf, math.inf, 1e-6), (0.0, math.inf, 1e-6),
+                                           (-math.inf, 1.0, 1e-6)])
     def test_bad_inputs_rejected_before_evaluation(self, lo, hi, tol):
         calls = []
 
@@ -937,9 +962,13 @@ def test_optimizer_options_validation():
         OptimizerOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizerOptions(tol=0.0)
-    for bad in (dict(grid=0), dict(grid=1), dict(max_iters=0), dict(tol=float("nan"))):
+    for bad in (dict(grid=0), dict(grid=1), dict(max_iters=0), dict(tol=float("nan")),
+                dict(max_iters=float("nan")), dict(tol=float("inf")), dict(grid=2.5),
+                dict(restarts=2.5)):
         with pytest.raises(ValueError):
             OptimizerOptions(**bad)
+    opts = OptimizerOptions(restarts=np.int64(3), grid=np.int32(8), max_iters=np.int64(5))
+    assert (opts.restarts, opts.grid, opts.max_iters) == (3, 8, 5)
 
 
 RESTART_RECORD = {"restart_values", "nfev", "converged", "restarts"}

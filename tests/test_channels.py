@@ -42,8 +42,8 @@ def random_two_kraus_qubit_channel(rng):
 
 def normal_form(c: KrausChannel) -> tuple[KrausChannel, np.ndarray]:
     """:func:`normal_form_stack` of one channel, as a channel, and its weights."""
-    ops, weights = normal_form_stack(np.stack(c.kraus))
-    return KrausChannel(tuple(ops), dim_in=c.dim_in, dim_out=c.dim_out), weights
+    ops, weights = normal_form_stack(c.kraus)
+    return KrausChannel(ops), weights
 
 
 class TestAsTwoQubit:
@@ -198,7 +198,7 @@ class TestNormalForm:
     def test_single_kraus_unchanged(self):
         rng = np.random.default_rng(40)
         u = haar_unitary(2, rng)
-        ch = KrausChannel((u,), dim_in=2, dim_out=2)
+        ch = KrausChannel((u,))
         nf, _ = normal_form(ch)
         assert len(nf) == 1
         assert np.abs(choi_state(nf) - choi_state(ch)).max() < 1e-12
@@ -226,7 +226,7 @@ class TestNormalForm:
         # a zero operator sorts last, with a weight under the floor that drops it
         k0 = np.eye(2, dtype=complex)
         zero = np.zeros((2, 2), dtype=complex)
-        nf, w = normal_form(KrausChannel((zero, k0), dim_in=2, dim_out=2))
+        nf, w = normal_form(KrausChannel((zero, k0)))
         assert w[0] > KRAUS_WEIGHT_FLOOR >= w[1]
         assert np.abs(nf.kraus[1]).max() == 0.0
 
@@ -239,12 +239,12 @@ class TestNormalFormStack:
             envs = [random_density_matrix(2, rng) if n_env == 2 else random_pure_state(2, rng)
                     for _ in range(4)]
             chans = [[effective_channel(v, e) for e in envs] for v in gates]
-            ops, weights = normal_form_stack([[np.stack(c.kraus) for c in row] for row in chans])
+            ops, weights = normal_form_stack([[c.kraus for c in row] for row in chans])
             assert ops.shape == (6, 4, 2 * n_env, 2, 2) and weights.shape == (6, 4, 2 * n_env)
             for row_ops, row_w, row in zip(ops, weights, chans):
                 for k, w, ch in zip(row_ops, row_w, row):
                     nf, nf_w = normal_form(ch)
-                    assert same_bits(k, np.stack(nf.kraus)) and same_bits(w, nf_w)
+                    assert same_bits(k, nf.kraus) and same_bits(w, nf_w)
                     want_ops, want_w = kraus_normal_form_by_list(ch.kraus)
                     assert same_bits(k, np.stack(want_ops)) and same_bits(w, want_w)
 
@@ -256,20 +256,19 @@ class TestNormalFormStack:
         ops, weights = normal_form_stack([[sz, sx], [sx, sz]])
         for pair in ops:
             assert np.abs(np.abs(pair[0]) - np.abs(sx)).max() < 1e-15
-        nf, _ = normal_form(KrausChannel((sz, sx), dim_in=2, dim_out=2))
-        assert same_bits(np.stack(nf.kraus), ops[0])
+        nf, _ = normal_form(KrausChannel((sz, sx)))
+        assert same_bits(nf.kraus, ops[0])
 
 
 class TestChoiState:
     def test_identity_channel(self):
-        ch = KrausChannel((np.eye(2, dtype=complex),), dim_in=2, dim_out=2)
+        ch = KrausChannel((np.eye(2, dtype=complex),))
         assert np.abs(choi_state(ch) - projector(maximally_entangled(2))).max() < 1e-14
 
     def test_depolarizing(self):
         paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
                   np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
-        ch = KrausChannel(tuple(0.5 * np.asarray(p, complex) for p in paulis),
-                          dim_in=2, dim_out=2)
+        ch = KrausChannel(tuple(0.5 * np.asarray(p, complex) for p in paulis))
         assert np.abs(choi_state(ch) - np.eye(4) / 4).max() < 1e-14
 
     def test_elementwise_assembly_oracle(self):
@@ -295,7 +294,7 @@ class TestChoiState:
 class TestApplyAndComplement:
     def test_identity(self):
         rng = np.random.default_rng(45)
-        ch = KrausChannel((np.eye(2, dtype=complex),), dim_in=2, dim_out=2)
+        ch = KrausChannel((np.eye(2, dtype=complex),))
         rho = random_density_matrix(2, rng)
         assert np.abs(apply_channel(ch, rho) - rho).max() < 1e-14
 
@@ -307,7 +306,7 @@ class TestApplyAndComplement:
             assert abs(np.trace(apply_channel(ch, rho)) - 1) < 1e-12
 
     def test_dimension_mismatch(self):
-        ch = KrausChannel((np.eye(2, dtype=complex),), dim_in=2, dim_out=2)
+        ch = KrausChannel((np.eye(2, dtype=complex),))
         with pytest.raises(ValueError):
             apply_channel(ch, np.eye(3) / 3)
 
@@ -332,7 +331,28 @@ class TestApplyAndComplement:
 def test_completeness_validation():
     bad = (np.eye(2, dtype=complex) * 0.9,)
     with pytest.raises(ValueError):
-        KrausChannel(bad, dim_in=2, dim_out=2)
+        KrausChannel(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    np.full((1, 2, 2), np.nan),
+    np.full((1, 2, 2), np.inf),
+    (np.eye(2), np.eye(3)),
+    np.eye(2),
+    np.zeros((0, 2, 2)),
+], ids=["nan", "inf", "mixed-shapes", "bare-matrix", "empty"])
+def test_malformed_stack_rejected(bad):
+    # a NaN deviation fails the completeness test instead of passing it
+    with pytest.raises(ValueError):
+        KrausChannel(bad)
+
+
+def test_stack_fixes_the_dimensions():
+    ch = entangled_env_channel(SWAP, np.kron(KET0, KET_PLUS))
+    assert ch.kraus.shape == (2, 4, 2) and (ch.dim_in, ch.dim_out) == (2, 4)
+    comp = complement_channel(ch)  # built from a swapped-axes view: stored contiguous
+    assert comp.kraus.flags.c_contiguous and (comp.dim_in, comp.dim_out) == (2, 2)
+    assert len(comp) == 4
 
 
 def test_unitarity_validation():

@@ -68,7 +68,7 @@ class TestIndex:
         rng = np.random.default_rng(63)
         for _ in range(100):
             ch = effective_channel(haar_unitary(4, rng), random_pure_state(2, rng))
-            ops, weights = normal_form_stack(np.stack(ch.kraus))
+            ops, weights = normal_form_stack(ch.kraus)
             if weights[1] <= KRAUS_WEIGHT_FLOOR:
                 continue
             dets = [np.linalg.det(2 * k.conj().T @ k - np.eye(2)).real for k in ops]
@@ -92,7 +92,7 @@ class TestIndex:
         for eta, k in zip(etas, stacked.reshape(6, 2, 2, 2)):
             single = batch_effective_kraus(v, eta)
             assert np.abs(k - single).max() < 1e-15
-            assert np.abs(single - np.stack(effective_channel(v, eta).kraus)).max() < 1e-15
+            assert np.abs(single - effective_channel(v, eta).kraus).max() < 1e-15
 
 
 class TestClassify:
@@ -113,7 +113,7 @@ class TestClassify:
 
 class TestChoiCriterion:
     def test_identity_channel_not_antidegradable(self):
-        ch = KrausChannel((np.eye(2, dtype=complex),), dim_in=2, dim_out=2)
+        ch = KrausChannel((np.eye(2, dtype=complex),))
         assert not is_antidegradable_choi(ch)
 
     def test_constant_channel_antidegradable(self):
@@ -124,8 +124,7 @@ class TestChoiCriterion:
     def test_high_rank_environment_rejected(self):
         paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
                   np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
-        depol = KrausChannel(tuple(0.5 * np.asarray(p, complex) for p in paulis),
-                             dim_in=2, dim_out=2)
+        depol = KrausChannel(tuple(0.5 * np.asarray(p, complex) for p in paulis))
         with pytest.raises(ValueError):
             is_antidegradable_choi(depol)
 
@@ -184,6 +183,24 @@ class TestUniversal:
             assert (in_antidegradable_region(p)
                     == is_universally_antidegradable(canonical_unitary(p)))
             count += 1
+
+
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_grid_without_two_points_rejected(self, grid):
+        # grid 0 would scan no state, and every state of an empty scan passes
+        with pytest.raises(ValueError, match="grid"):
+            is_universally_antidegradable(CNOT, grid)
+        with pytest.raises(ValueError, match="grid"):
+            universally_antidegradable(CNOT[None], grid)
+
+
+@pytest.mark.parametrize("etas", [[[2, 0]], [[np.nan, 0]], [KET0, 1.001 * KET_PLUS]],
+                         ids=["norm-2", "nan", "one-row-off"])
+def test_unnormalized_states_rejected(etas):
+    with pytest.raises(ValueError, match="normalized"):
+        classify_envs(CNOT, etas)
+    with pytest.raises(ValueError, match="normalized"):
+        batch_degradability_index(CNOT, etas)
 
 
 def test_bloch_sphere_grid_shape():

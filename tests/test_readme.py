@@ -38,3 +38,11 @@ def test_library_snippet_runs_and_matches_its_comments():
     assert np.array_equal(ns["curve"], singles)
     assert "# [True, True, False]" in code
     assert ns["regions"].tolist() == [True, True, False]
+
+
+def test_module_line_count_is_current():
+    text = README.read_text()
+    stated = re.search(r"Modules \(([\d,]+) lines of `src/envcap/`\)", text).group(1)
+    src = README.parent / "src" / "envcap"
+    assert int(stated.replace(",", "")) == sum(
+        len(f.read_text().splitlines()) for f in src.glob("*.py"))
