@@ -47,6 +47,7 @@ from .linalg import (
     bloch_state,
     check_density_matrix,
     entropy,
+    entropy_from_eigvals,
     entropy_terms,
     in_chunks,
     maximally_entangled,
@@ -375,9 +376,10 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
 # adversarial (jammer) value, single copy
 # ---------------------------------------------------------------------------
 
-def _extension_slack(kraus: np.ndarray) -> float:
-    """Tr J_B^2 - Tr J^2 + 4 sqrt(det J) of the Choi state J of a qubit Kraus stack
-    (k, 2, 2), with J_B its output marginal.
+def _extension_slack(j_b: np.ndarray, w: np.ndarray) -> float:
+    """Tr J_B^2 - Tr J^2 + 4 sqrt(det J) of the Choi state J of a qubit channel, from
+    J_B = N(I/2) and the ascending spectrum w of N~(I/2): J and N~(I/2) are marginals of
+    one pure state, so J's spectrum is the top four of w padded with zeros.
 
     A two-qubit state has a symmetric extension on B iff this is >= 0 (Myhr &
     Lutkenhaus, "Spectrum conditions for symmetric extendible states", 2009; Chen,
@@ -385,10 +387,7 @@ def _extension_slack(kraus: np.ndarray) -> float:
     and a channel is anti-degradable iff its Choi state has one on the output.  The
     slack is invariant under unitaries on the input and the output.
     """
-    psi = kraus.transpose(0, 2, 1).reshape(-1, 4) / np.sqrt(2)  # (I (x) K)|Phi>, wires R, B
-    j = psi.T @ psi.conj()
-    j_b = np.einsum("abac->bc", j.reshape(2, 2, 2, 2))
-    w = np.linalg.eigvalsh(j)
+    w = np.concatenate([np.zeros(4), w])[-4:]
     return float(np.vdot(j_b, j_b).real - w @ w + 4 * np.sqrt(max(0.0, np.prod(w))))
 
 
@@ -406,13 +405,14 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
         max(0, L) <= J <= U,   L = I_c(I/2, N_{I/2}),   U = Q1(N_{I/2}),
 
     with J >= 0 because a pure input gives zero.  The value max(0, L) is
-    exact: L is :func:`coherent_info` of the channel N_{I/2}, whose
-    canonical complement has the spectrum of rho_RB, and is reported as
-    ``raw_value``, before the clamp.  The argmax is (I/2, I/2) when L > 0,
-    and (|0><0|, I/2), which reaches zero, otherwise.
+    exact: L is :func:`coherent_info` of N_{I/2} at I/2 bit for bit, from one
+    contraction and one eigensolve of the complement's output, which has the
+    spectrum of rho_RB; it is ``raw_value``, before the clamp.  The argmax is
+    (I/2, I/2) when L > 0, and (|0><0|, I/2), which reaches zero, otherwise.
 
     The diagnostics hold the bracket ``(value, U)`` with U's restart record,
-    and the :func:`_extension_slack` of N_{I/2} as ``extension_slack``.  Where
+    and the :func:`_extension_slack` of N_{I/2}, read off the same output and
+    spectrum, as ``extension_slack``.  Where
     the slack exceeds 1e-6 and L <= 0, N_{I/2} is anti-degradable, so U = 0
     exactly, with no optimizer call and a record of zero restarts; this needs
     no canonical form, as the slack is invariant under local dressing.  On
@@ -423,9 +423,11 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     opts = opts or OptimizerOptions()
     mixed = bloch_density(np.zeros(3))
     channel = effective_channel(v, mixed)
-    low = coherent_info(channel, mixed)
+    out, comp = _outputs(channel.kraus, mixed)
+    w = np.linalg.eigvalsh(comp)
+    low = float(entropy(out, validate=False) - entropy_from_eigvals(w))
     value = max(0.0, low)
-    slack = _extension_slack(channel.kraus)
+    slack = _extension_slack(out, w)
     if slack > _EXTENSION_MARGIN and low <= 0:  # anti-degradable: Q1 = 0
         upper = CapacityResult(0.0, diagnostics=_record([], 0, 0))
     else:

@@ -20,7 +20,7 @@ COMPLETENESS_TOL = 1e-9
 KRAUS_WEIGHT_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteUnitary:
     """Two-qubit gate: a 4x4 unitary on A (x) E, checked once."""
 
@@ -32,20 +32,22 @@ class BipartiteUnitary:
         object.__setattr__(self, "matrix", check_unitary(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map as a Kraus stack (k, out, in),
-    stored C-contiguous; its dimensions are read off the stack's shape."""
+    stored as a read-only C-contiguous copy; its dimensions are read off the
+    stack's shape.  Channels compare and hash by identity."""
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        ops = np.ascontiguousarray(self.kraus, dtype=complex)
+        ops = np.array(self.kraus, dtype=complex, order="C")
         if ops.ndim != 3 or not ops.size:
             raise ValueError(f"expected a nonempty Kraus stack (k, out, in), got shape {ops.shape}")
         dev = np.abs(np.einsum("kba,kbc->ac", ops.conj(), ops) - np.eye(ops.shape[2])).max()
         if not dev <= COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated: deviation {dev:.3e}")
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
     @property
@@ -95,9 +97,9 @@ def normal_form_stack(ops) -> tuple[np.ndarray, np.ndarray]:
     and their weights.  Nothing is dropped."""
     ops = np.asarray(ops, dtype=complex)
     adj = ops.conj().swapaxes(-1, -2)[..., :, None, :, :]
-    _, w = np.linalg.eigh(np.trace(adj @ ops[..., None, :, :, :], axis1=-2, axis2=-1))
+    _, w = np.linalg.eigh(np.einsum("...ii->...", adj @ ops[..., None, :, :, :]))
     new = sum(w[..., k, :, None, None] * ops[..., k:k + 1, :, :] for k in range(ops.shape[-3]))
-    weights = np.trace(new.conj().swapaxes(-1, -2) @ new, axis1=-2, axis2=-1).real
+    weights = np.einsum("...ii->...", new.conj().swapaxes(-1, -2) @ new).real
     ent = new.reshape(new.shape[:-2] + (new.shape[-2] * new.shape[-1],))
     # sort keys, last one first: -weight, then the entries' (real, imag) in order
     keys = [x for e in np.moveaxis(ent, -1, 0)[::-1] for x in (e.imag, e.real)]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, normal_form_stack
-from .linalg import NORM_TOL, bloch_state, check_state_vector, in_chunks
+from .linalg import bloch_state, check_state_vector, in_chunks
 
 #: |index| at or below this classifies as symmetric.  The index is a
 #: determinant of exactly representable 2x2 products; its noise floor is
@@ -73,7 +73,10 @@ def degradability_index(v, eta) -> float:
     a unitary conjugation; its complement is constant, so the index is
     defined as +1.
     """
-    return float(_normal_form_index(v, check_state_vector(eta)[None])[0])
+    eta = check_state_vector(eta)
+    if eta.ndim != 1:
+        raise ValueError(f"expected one state vector, got shape {eta.shape}")
+    return float(_normal_form_index(v, eta[None])[0])
 
 
 def _classify(v, etas, tags) -> tuple[list, list]:
@@ -85,19 +88,10 @@ def _classify(v, etas, tags) -> tuple[list, list]:
     return index.tolist(), np.asarray(tags, dtype=object)[pick].tolist()
 
 
-def _unit_states(etas) -> np.ndarray:
-    """``etas`` as complex state vectors over the last axis, each of norm 1 to NORM_TOL."""
-    etas = np.asarray(etas, dtype=complex)
-    dev = np.abs(np.linalg.norm(etas, axis=-1) - 1.0)
-    if not (dev <= NORM_TOL).all():
-        raise ValueError(f"state vectors are not normalized: ||psi|| off by up to {dev.max()!r}")
-    return etas
-
-
 def classify_envs(v, etas: np.ndarray) -> list[Classification]:
     """Classify the channels induced by pure environment states (n, 2) by
     :func:`degradability_index`; ``|index| <= SYMMETRIC_TOL`` is symmetric."""
-    index, tags = _classify(v, _unit_states(etas), tuple(Degradability))
+    index, tags = _classify(v, check_state_vector(etas), tuple(Degradability))
     return list(map(Classification, tags, index))
 
 
@@ -147,7 +141,7 @@ def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
     which unit combination of the two leads; this one does not.  A unitary
     channel has det T_N = 1 and a constant complement: +1.
     """
-    t = _bloch4(_unit_states(etas)) @ _transfer_terms(as_two_qubit(v).matrix).reshape(18, 4).T
+    t = _bloch4(check_state_vector(etas)) @ _transfer_terms(as_two_qubit(v).matrix).reshape(18, 4).T
     det = np.linalg.det(t.reshape(t.shape[:-1] + (2, 3, 3)))
     return det[..., 0] - det[..., 1]
 

@@ -41,12 +41,11 @@ def check_unitary(u) -> np.ndarray:
 
 
 def check_state_vector(psi) -> np.ndarray:
+    """State vectors over the last axis of ``psi``, each of norm 1 to NORM_TOL."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError(f"expected a state vector, got array of ndim {psi.ndim}")
-    nrm = np.linalg.norm(psi)
-    if not abs(nrm - 1.0) <= NORM_TOL:
-        raise ValueError(f"state vector is not normalized: ||psi|| = {nrm!r}")
+    dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    if not (dev <= NORM_TOL).all():
+        raise ValueError(f"state vectors are not normalized: ||psi|| off by up to {dev.max()!r}")
     return psi
 
 
@@ -104,12 +103,11 @@ def entropy(rho, validate: bool = True):
     """Von Neumann entropy S(rho) = -Tr rho log2 rho, in bits.
 
     With ``validate=False`` a stack of matrices over the leading axes is
-    accepted; stacks of 2x2 matrices take the closed-form spectrum.
+    accepted.  Every 2x2 input, alone or stacked, takes :func:`eigvals2`.
     """
     rho = check_density_matrix(rho) if validate else np.asarray(rho, dtype=complex)
-    if rho.ndim > 2 and rho.shape[-2:] == (2, 2):
-        return entropy_from_eigvals(eigvals2(rho))
-    return entropy_from_eigvals(np.linalg.eigvalsh(rho))
+    w = eigvals2(rho) if rho.shape[-2:] == (2, 2) else np.linalg.eigvalsh(rho)
+    return entropy_from_eigvals(w)
 
 
 def projector(psi) -> np.ndarray:

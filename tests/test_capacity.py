@@ -132,6 +132,13 @@ def mixed_env_kraus(v) -> np.ndarray:
     return effective_channel(v, maximally_mixed(2)).kraus
 
 
+def slack_input(kraus) -> tuple:
+    """The input of :func:`_extension_slack` for a qubit Kraus stack (k, 2, 2): N(I/2)
+    and the ascending spectrum of N~(I/2), the complement's output."""
+    out, comp = capacity._outputs(kraus, maximally_mixed(2))
+    return out, np.linalg.eigvalsh(comp)
+
+
 def dress(u, rng):
     """``u`` between two random local gates."""
     return (tensor(haar_unitary(2, rng), haar_unitary(2, rng)) @ u
@@ -496,6 +503,31 @@ class TestJammer:
                                         abs=1e-12)
             assert raw == pytest.approx(low, abs=1e-12)
 
+    def test_raw_value_is_coherent_info_bit_for_bit(self):
+        # one coherent-information route: jammer_value's own contraction and
+        # eigensolve give coherent_info's value to the last bit
+        rng = np.random.default_rng(78)
+        mixed = maximally_mixed(2)
+        gates = [canonical_unitary(tuple(PI * a for a in p)).matrix for p, _ in JAMMER_UPPER]
+        gates += [haar_unitary(4, rng) for _ in range(50)]
+        for v in gates:
+            raw = jammer_value(v, FAST_OPTS).diagnostics["raw_value"]
+            assert same_bits(raw, coherent_info(effective_channel(v, mixed), mixed))
+
+    def test_certified_call_makes_two_eigensolves(self, monkeypatch):
+        # the check of I/2 in effective_channel, and N~(I/2) for L and the slack
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        res = jammer_value(swap_power(0.5))
+        assert res.diagnostics["restarts"] == 0
+        assert calls == [(2, 2), (4, 4)]
+
     def test_mixed_env_objective_matches_effective_channel(self):
         # the affine objective must be the coherent information of the
         # channel of eta itself, not of its y-mirror conj(eta)
@@ -645,12 +677,12 @@ class TestExtensionSlack:
         # anti-degradable from decay probability 1/2 on
         for g in np.linspace(0.0, 1.0, 21):
             kraus = np.array([[[1, 0], [0, np.sqrt(1 - g)]], [[0, np.sqrt(g)], [0, 0]]], complex)
-            assert abs(_extension_slack(kraus) - (g - 0.5)) < 1e-15
+            assert abs(_extension_slack(*slack_input(kraus)) - (g - 0.5)) < 1e-15
 
     def test_depolarizing_gates_cross_at_two_thirds(self):
         # (a, a, a) at I/2 is depolarizing with Bloch factor cos^2 a: extendible to 2/3
         def slack(a):
-            return _extension_slack(mixed_env_kraus(canonical_unitary((a, a, a))))
+            return _extension_slack(*slack_input(mixed_env_kraus(canonical_unitary((a, a, a)))))
 
         a_c = np.arccos(np.sqrt(2 / 3))
         assert abs(slack(a_c)) < 1e-12
@@ -662,7 +694,7 @@ class TestExtensionSlack:
         rng = np.random.default_rng(90)
         for _ in range(200):
             a = rng.uniform(-PI, PI, 3)
-            got = _extension_slack(mixed_env_kraus(canonical_unitary(a)))
+            got = _extension_slack(*slack_input(mixed_env_kraus(canonical_unitary(a))))
             assert abs(got - extension_slack_by_pauli_weights(a)) < 1e-12
         for k in (1, 2, 4):  # any qubit Kraus stack: columns of a Haar isometry
             for _ in range(20):
@@ -671,16 +703,19 @@ class TestExtensionSlack:
                 j_b = partial_trace(j, (2, 2), keep=1)
                 want = (np.trace(j_b @ j_b) - np.trace(j @ j)).real \
                     + 4 * np.sqrt(max(0.0, np.linalg.det(j).real))
-                assert abs(_extension_slack(kraus) - want) < 1e-12
+                assert abs(_extension_slack(*slack_input(kraus)) - want) < 1e-12
 
     def test_invariant_under_dressing_and_conjugation(self):
+        def slack(u):
+            return _extension_slack(*slack_input(mixed_env_kraus(u)))
+
         rng = np.random.default_rng(91)
         gates = [haar_unitary(4, rng) for _ in range(10)] + [CNOT]
         gates += [canonical_unitary(tuple(PI * a for a in p)).matrix for p, _ in JAMMER_POSITIVE]
         for u in gates:
-            want = _extension_slack(mixed_env_kraus(u))
-            assert abs(_extension_slack(mixed_env_kraus(dress(u, rng))) - want) < 1e-12
-            assert abs(_extension_slack(mixed_env_kraus(u.conj())) - want) < 1e-12
+            want = slack(u)
+            assert abs(slack(dress(u, rng)) - want) < 1e-12
+            assert abs(slack(u.conj()) - want) < 1e-12
 
     def test_certificate_is_sound(self):
         # certified: the input search finds nothing above round-off either; and a
@@ -694,7 +729,7 @@ class TestExtensionSlack:
             kraus = mixed_env_kraus(v)
             res = jammer_value(v)
             d = res.diagnostics
-            assert d["extension_slack"] == _extension_slack(kraus)
+            assert d["extension_slack"] == _extension_slack(*slack_input(kraus))
             assert d["raw_value"] <= 0 or d["extension_slack"] <= _EXTENSION_MARGIN
             if d["extension_slack"] > _EXTENSION_MARGIN:
                 certified += 1
@@ -721,7 +756,7 @@ class TestExtensionSlack:
             "restart_values": [], "nfev": 0, "converged": 0, "restarts": 0}
 
     def test_cnot_sits_on_the_boundary_and_searches(self):
-        assert abs(_extension_slack(mixed_env_kraus(CNOT))) < 1e-15
+        assert abs(_extension_slack(*slack_input(mixed_env_kraus(CNOT)))) < 1e-15
         d = jammer_value(CNOT, FAST_OPTS).diagnostics
         assert d["restarts"] == 4
         assert d["extension_slack"] <= _EXTENSION_MARGIN

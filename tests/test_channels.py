@@ -355,6 +355,25 @@ def test_stack_fixes_the_dimensions():
     assert len(comp) == 4
 
 
+def test_built_channel_cannot_be_changed():
+    # the channel holds a read-only copy: validation cannot be undone afterwards
+    ops = np.eye(2, dtype=complex)[None]
+    ch = KrausChannel(ops)
+    ops[:] = 0
+    assert np.array_equal(ch.kraus, np.eye(2)[None])
+    with pytest.raises(ValueError):
+        ch.kraus[:] = 0
+    assert np.array_equal(ch.kraus, np.eye(2)[None])
+
+
+def test_channels_and_gates_compare_by_identity():
+    a, b = KrausChannel(np.eye(2)[None]), KrausChannel(np.eye(2)[None])
+    u, w = BipartiteUnitary(CNOT_M), BipartiteUnitary(CNOT_M)
+    assert a == a and a != b and u == u and u != w
+    assert len({a, b, a}) == 2 and len({u, w, u}) == 2
+    assert hash(a) == hash(a) and hash(u) == hash(u)
+
+
 def test_unitarity_validation():
     with pytest.raises(ValueError):
         BipartiteUnitary(np.eye(4) * 1.001)

@@ -203,6 +203,16 @@ def test_unnormalized_states_rejected(etas):
         batch_degradability_index(CNOT, etas)
 
 
+def test_single_state_entry_points_reject_a_stack():
+    # stacks pass the norm check, so the one-state API checks the shape itself
+    etas = np.array([KET0, KET_PLUS])
+    assert batch_degradability_index(CNOT, etas).shape == (2,)
+    with pytest.raises(ValueError, match="one state vector"):
+        degradability_index(CNOT, etas)
+    with pytest.raises(ValueError):
+        effective_channel(CNOT, np.array([KET0, KET_PLUS, KET0]))
+
+
 def test_bloch_sphere_grid_shape():
     states, thetas, phis = bloch_sphere_grid(8, 16)
     assert states.shape == (128, 2)

@@ -267,8 +267,16 @@ class TestStackedEntropy:
         single = [entropy(r, validate=False) for r in rhos]
         assert np.abs(stacked.ravel() - single).max() < 1e-12
 
+    def test_qubit_state_alone_matches_its_stack_bit_for_bit(self):
+        # one route for 2x2 spectra: a lone state takes eigvals2 as a stack does
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            rho = random_density_matrix(2, rng)
+            assert same_bits(entropy(rho), entropy(rho[None], validate=False)[0])
 
-@pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0]])
+
+@pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0], 1.0,
+                                 [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8000001]]])
 def test_state_vector_validation(bad):
     with pytest.raises(ValueError):
         check_state_vector(bad)
