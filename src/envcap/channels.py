@@ -22,14 +22,16 @@ KRAUS_WEIGHT_FLOOR = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class BipartiteUnitary:
-    """Two-qubit gate: a 4x4 unitary on A (x) E, checked once."""
+    """Two-qubit gate: a 4x4 unitary on A (x) E, checked once, kept as a read-only copy."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         if np.shape(self.matrix) != (4, 4):
             raise ValueError(f"expected a 4x4 two-qubit gate, got shape {np.shape(self.matrix)}")
-        object.__setattr__(self, "matrix", check_unitary(self.matrix))
+        m = check_unitary(np.array(self.matrix, dtype=complex))
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True, eq=False)

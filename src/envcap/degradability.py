@@ -7,9 +7,10 @@ the 3x3 Bloch (Pauli-transfer) matrix of the channel and of its
 complement.  That difference is basis-free: a change of Kraus basis
 rotates the complement's Bloch ball, and a rotation has determinant 1.
 T is linear in the environment's Bloch vector r, so the index is a
-cubic in r with coefficients from the gate alone; the scans over pure
-environment states evaluate it in that form.  ``classify`` stays on the
-normal form.
+cubic in r with coefficients from the gate alone.  Every evaluation of
+the invariant is that cubic: the batched index and the universal scan.
+The normal form is left only behind ``classify`` and
+``degradability_index``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ _INPUTS = 0.25 * np.einsum("jab,kcd->jkbdac", _PAULI[1:], _PAULI).reshape(12, 16
 _TRIPLES = [t for t in np.ndindex(4, 4, 4) if t == tuple(sorted(t))]
 _SYMMETRIZE = np.array([[tuple(sorted(t)) == c for c in _TRIPLES]
                         for t in np.ndindex(4, 4, 4)], dtype=float)
-_LEVI_CIVITA = np.fromfunction(lambda i, j, k: (j - i) * (k - i) * (k - j) / 2, (3, 3, 3))
 
 
 class Degradability(enum.Enum):
@@ -126,47 +126,43 @@ def _transfer_terms(m: np.ndarray) -> np.ndarray:
     return (w.reshape(m.shape[:-2] + (6, 16)) @ _INPUTS).real.reshape(m.shape[:-2] + (2, 3, 3, 4))
 
 
-def _bloch4(etas) -> np.ndarray:
-    """r~ = (1, r), the values <eta|sigma_k|eta>, of state vectors over the last axis."""
+def _monomials(etas) -> np.ndarray:
+    """The cubic's monomials r~_k r~_l r~_m of :data:`_TRIPLES` (..., 20) at state
+    vectors over the last axis, with r~ = (1, r) the values <eta|sigma_k|eta>."""
     psi = np.asarray(etas, dtype=complex)
     rho = psi.conj()[..., :, None] * psi[..., None, :]
-    return (rho.reshape(rho.shape[:-2] + (4,)) @ _PAULI.reshape(4, 4).T).real
+    r = (rho.reshape(rho.shape[:-2] + (4,)) @ _PAULI.reshape(4, 4).T).real
+    return r[..., _TRIPLES].prod(-1)
 
 
 def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
-    """The index det T_N - det T_Nc over pure environment states (..., 2).
+    """The index det T_N - det T_Nc over pure environment states (..., 2): the
+    gate's cubic, :func:`_cubic_coefficients` times the states' :func:`_monomials`.
 
     It matches :func:`degradability_index` to round-off where the two Kraus
     weights differ.  Where both are 1 the normal form's value depends on
     which unit combination of the two leads; this one does not.  A unitary
     channel has det T_N = 1 and a constant complement: +1.
     """
-    t = _bloch4(check_state_vector(etas)) @ _transfer_terms(as_two_qubit(v).matrix).reshape(18, 4).T
-    det = np.linalg.det(t.reshape(t.shape[:-1] + (2, 3, 3)))
-    return det[..., 0] - det[..., 1]
+    coefficients = _cubic_coefficients(as_two_qubit(v).matrix[None])[0]
+    return _monomials(check_state_vector(etas)) @ coefficients
 
 
 def _cubic_coefficients(m: np.ndarray) -> np.ndarray:
     """Coefficients (n, 20) of the index of gates m (n, 4, 4) over the monomials of
     :data:`_TRIPLES`: det sum_k r~_k A_k is the sum over (k, l, m) of
-    r~_k r~_l r~_m det(row 0 of A_k, row 1 of A_l, row 2 of A_m)."""
-    a = _transfer_terms(m)
-    p = np.einsum("abc,nsak,nsbl,nscm->nsklm", _LEVI_CIVITA, a[:, :, 0], a[:, :, 1], a[:, :, 2],
-                  optimize=_cubic_path(len(m)))
+    r~_k r~_l r~_m det(row 0 of A_k, row 1 of A_l, row 2 of A_m), the triple
+    product row 0 . (row 1 x row 2), for T_N less the same for T_Nc."""
+    rows = _transfer_terms(m).swapaxes(-1, -2)  # (n, s, i, k, j): row i of A_k
+    cross = np.cross(rows[:, :, 1, :, None], rows[:, :, 2, None, :]).reshape(len(m), 2, 16, 3)
+    p = rows[:, :, 0] @ cross.swapaxes(-1, -2)
     return (p[:, 0] - p[:, 1]).reshape(-1, 64) @ _SYMMETRIZE
-
-
-@functools.lru_cache(maxsize=4)
-def _cubic_path(n: int) -> list:
-    """The path ``optimize=True`` searches for on every einsum call, at n gates."""
-    return np.einsum_path("abc,nsak,nsbl,nscm->nsklm", _LEVI_CIVITA, *[np.empty((n, 2, 3, 4))] * 3,
-                          optimize="greedy")[0]
 
 
 @functools.lru_cache(maxsize=4)
 def _sphere_monomials(grid: int) -> np.ndarray:
     """The monomials (20, grid**2) at the states of ``bloch_sphere_grid(grid, grid)``."""
-    return _bloch4(bloch_sphere_grid(grid, grid)[0])[:, _TRIPLES].prod(-1).T.copy()
+    return _monomials(bloch_sphere_grid(grid, grid)[0]).T.copy()
 
 
 def universally_antidegradable(m, grid: int = 64) -> np.ndarray:

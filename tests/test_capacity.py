@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from envcap.canonical import CNOT, SWAP, canonical_unitary, decompose_params, swap_power
+from envcap.canonical import (
+    CNOT,
+    SWAP,
+    canonical_unitary,
+    decompose_params,
+    in_antidegradable_region,
+    swap_power,
+)
 from envcap.channels import BipartiteUnitary, KrausChannel, effective_channel
 from envcap import capacity
 from envcap.capacity import (
@@ -35,7 +42,9 @@ from envcap.degradability import (
     SYMMETRIC_TOL,
     Degradability,
     batch_degradability_index,
+    bloch_sphere_grid,
     classify_envs,
+    is_universally_antidegradable,
 )
 from envcap.experiments import A3_FAMILIES
 from envcap.linalg import (
@@ -62,6 +71,7 @@ from oracles import (
     partial_trace,
     random_density_matrix,
     random_pure_state,
+    region_points,
     same_bits,
     swap_power_helper_by_search,
     swap_power_helper_outputs,
@@ -375,6 +385,24 @@ class TestSeparableHelperCapacity:
             res = separable_helper_capacity(v)
             assert abs(index - (1 - 2 * res.diagnostics["damping"])) < 1e-14
             assert res.diagnostics["n_degradable"] == int(index > SYMMETRIC_TOL)
+
+    def test_skip_rule_is_the_universal_scan(self):
+        # the search skips the states whose index is at most SYMMETRIC_TOL, so it
+        # has a state to refine exactly where the universal scan fails
+        etas = bloch_sphere_grid(32, 32)[0]
+        for p in region_points(5):
+            v = canonical_unitary(p)
+            universal = is_universally_antidegradable(v, 32)
+            assert (batch_degradability_index(v, etas) > SYMMETRIC_TOL).any() == (not universal), p
+            if universal and not capacity._swap_symmetric(v):
+                diag = separable_helper_capacity(v, OptimizerOptions(grid=32)).diagnostics
+                assert diag["n_degradable"] == 0 and diag["restarts"] == 0, p
+        # a point of A that is not swap-symmetric skips every state at the default grid
+        p = (PI / 2, PI / 2, 0.0)
+        assert in_antidegradable_region(p) and not capacity._swap_symmetric(canonical_unitary(p))
+        res = separable_helper_capacity(canonical_unitary(p))
+        assert res.value == 0.0
+        assert res.diagnostics["n_degradable"] == 0 and res.diagnostics["restarts"] == 0
 
 
 class TestSeparableHelperSymmetry:

@@ -11,6 +11,7 @@ from envcap.channels import (
     effective_channel,
     normal_form_stack,
 )
+from envcap.degradability import batch_degradability_index
 from envcap.linalg import entropy, haar_unitary, maximally_entangled, projector
 from oracles import (
     apply_channel,
@@ -364,6 +365,20 @@ def test_built_channel_cannot_be_changed():
     with pytest.raises(ValueError):
         ch.kraus[:] = 0
     assert np.array_equal(ch.kraus, np.eye(2)[None])
+
+
+def test_built_gate_cannot_be_changed():
+    # the gate holds a read-only copy: zeroing the caller's array after the
+    # unitarity check changes neither the matrix nor the index read from it
+    m = CNOT_M.copy()
+    g = BipartiteUnitary(m)
+    before = batch_degradability_index(g, [KET0, KET_PLUS])
+    m[:] = 0
+    assert np.array_equal(g.matrix, CNOT_M)
+    assert np.array_equal(batch_degradability_index(g, [KET0, KET_PLUS]), before)
+    assert not g.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        g.matrix[:] = 0
 
 
 def test_channels_and_gates_compare_by_identity():

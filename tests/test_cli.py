@@ -470,6 +470,9 @@ PINNED_CSV = {
     "region_scan --grid 17": "77aa63aef94b0d2e6391ba3f755ad0d67982b209e68675eea8c7b34a93c616f6",
     "classify --grid 8 --params 0.3,0.2,0.1":
         "3f4c5e2c3ad9c9f25f924038c2e17cc126c3558bee7175d0662b0496fa89d3dd",
+    # the generic separable helper: skip-mask, scored cells and the joint simplex
+    "qhtens --params 0.3,0.2,0.1":
+        "aa543c271e3a2fe6880613dfc338d49f6010e5385f03db64e0a6e95a8ebaefaf",
     # the jammer's value path: L exact, the argmax from its sign
     "jammer": "490feb3208dff3b2a12e98ef3c38228731bcedb85c319ccd6e7d9d18d824524c",
     "jammer --params 0.1,0.05,0.02":

@@ -332,13 +332,14 @@ class TestInvariance:
 
     def test_cubic_equals_the_transfer_determinants(self):
         # the closed-form coefficients times the grid monomials give the
-        # determinants of the transfer matrices, state by state
+        # determinants of the transfer matrices taken by Pauli traces, state by state
         rng = np.random.default_rng(72)
         gates = np.array([haar_unitary(4, rng) for _ in range(8)])
         cubic = _cubic_coefficients(gates) @ _sphere_monomials(16)
         etas, _, _ = bloch_sphere_grid(16, 16)
         for v, row in zip(gates, cubic):
-            assert np.abs(row - batch_degradability_index(v, etas)).max() <= 1e-13
+            oracle = [bloch_determinant_index(v, eta) for eta in etas]
+            assert np.abs(row - oracle).max() <= 1e-13
 
     def test_stacked_verdicts_equal_per_gate(self):
         points = region_points(9)
