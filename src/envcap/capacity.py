@@ -22,7 +22,8 @@ this module provides:
 * the entangled-helper capacity of the fractional swaps, from a
   closed-form objective over the helper's Schmidt weight and the input:
   its centre in closed form below gamma_c = 0.642893..., where the centre
-  stops being a maximum, and a grid-seeded simplex search from there on.
+  stops being a maximum, and nested 1-d maxima from there on: over the
+  helper weight by Newton, over the input weight by a scan and a secant.
 """
 
 from __future__ import annotations
@@ -55,14 +56,11 @@ from .linalg import (
 )
 
 #: Optimizer values at or below this floor are reported as exactly zero by
-#: the helper-capacity routines: the (lam, mu) refinement resolves corner
-#: offsets only down to ~1e-5, and coherent informations below the floor
-#: are indistinguishable from zero at that resolution.
+#: the helper-capacity routines.  The entangled-helper curve touches zero
+#: tangentially: its maximum moves into a mu corner and thins out
+#: exponentially (6.3e-7 at gamma = 0.7778, 2.6e-10 at 0.8095), so the floor,
+#: not the optimizer, fixes where the reported curve ends.
 HELPER_CAPACITY_FLOOR = 5e-6
-
-#: Geometric seeds pushed toward the mu in {0, 1} corners, where the
-#: helper-capacity optimum migrates as the swap exponent grows.
-_CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 #: Gate pairs per stacked two-copy evaluation; bounds its (n, 4, 4, 8) temporaries.
 _TWO_COPY_CHUNK = 256
@@ -310,14 +308,14 @@ def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
         return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, "bracket": (0.0, 0.0)})
 
     def slope(q):  # f'(q) in nats, logs taken apart: tiny p neither underflows nor rounds off
-        return ((1 - p) * (np.log(1 - q + p * q) - np.log1p(-p) - np.log(q))
-                - p * (np.log1p(-p * q) - np.log(p) - np.log(q)))
+        return ((1 - p) * (math.log(1 - q + p * q) - math.log1p(-p) - math.log(q))
+                - p * (math.log1p(-p * q) - math.log(p) - math.log(q)))
 
     q = 0.5 if p == 0.0 else find_zero_crossing(slope, 1e-300, 1.0, 1e-300)
     rho = bloch_density(np.array([0.0, 0.0, 1.0 - 2.0 * q]))  # diag(1 - q, q)
     raw = float(_coherent_info(batch_effective_kraus(v, _KET0), rho))
     value = max(0.0, raw)
-    gap = float(abs(slope(q)) / np.log(2)) if p else 0.0
+    gap = abs(slope(q)) / math.log(2) if p else 0.0
     return CapacityResult(value, argmax_input=rho, argmax_env=_KET0,
                           diagnostics={**diag, "raw_value": raw, "bracket": (value, value + gap)})
 
@@ -512,7 +510,7 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if np.sign(flo) == np.sign(fhi):
+    if (flo > 0) == (fhi > 0):
         raise BracketError(
             f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign")
     while hi - lo > tol:
@@ -522,7 +520,7 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
         fm = finite(mid)
         if fm == 0.0:
             return mid
-        if np.sign(fm) == np.sign(flo):
+        if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
             hi = mid
@@ -567,6 +565,113 @@ def _helper_objective(factors, lam, mu):
     return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
 
 
+def _helper_slopes(xp, stay, hop, lam, mu):
+    """f_lam, f_lamlam and f_mu of :func:`_helper_objective` in nats, without its floor, at
+    0 < lam, mu < 1 and the :func:`_swap_factors` ``stay`` = c and ``hop`` = s; ``xp`` is
+    numpy for arrays, math for floats.  Every output is affine in lam and mu except
+    r = sqrt(d^2 + lam (1 - lam) |z|^2), with |z|^2 = s^2 + (1 - 2mu)^2 s c, and rho_hb's
+    small eigenvalue is taken as w- = lam (1 - lam) mu (1 - mu) c (1 + 3s) / w+, free of the
+    cancellation in half - r.  Each output has trace 1, so the -dw of d(-w ln w) cancels."""
+    c, s, lam1, mu1 = stay, hop, 1 - lam, 1 - mu
+    d = (lam * (s + mu * c) - lam1 * (1 - mu * c)) / 2  # (p00 - p11) / 2
+    zz = s * s + (1 - 2 * mu) ** 2 * s * c
+    r = xp.sqrt(d * d + lam * lam1 * zz)
+    wp = d + lam1 * (1 - mu * c) + r
+    wm = lam * lam1 * mu * mu1 * c * (1 + 3 * s) / wp
+    f0 = mu * s + lam * c
+    lp, lm, lf = xp.log(wp), xp.log(wm), xp.log(f0 / (1 - f0))
+    l01, l10 = xp.log(lam * mu1 * c), xp.log(lam1 * mu * c)
+    rl = ((1 + s) / 2 * d + (1 - 2 * lam) * zz / 2) / r
+    wp_l = c * (2 * mu - 1) / 2 + rl
+    q = (1 - 2 * lam) / (lam * lam1) - wp_l / wp  # d ln w- / d lam
+    rll = ((1 + s) ** 2 / 4 - zz - rl * rl) / r
+    f_l = c * lf - (wp_l * lp + wm * q * lm + c * (mu1 * l01 - mu * l10))
+    f_ll = (c * c / (f0 * (1 - f0)) - rll * (lp - lm) - wp_l * wp_l / wp - wm * q * q
+            - c * (mu1 / lam + mu / lam1))
+    wp_m = c * (2 * lam - 1) / 2 + (c * d / 2 - 2 * lam * lam1 * (1 - 2 * mu) * s * c) / r
+    wm_m = wm * ((1 - 2 * mu) / (mu * mu1) - wp_m / wp)
+    f_m = s * lf - (wp_m * lp + wm_m * lm + c * (lam1 * l10 - lam * l01))
+    return f_l, f_ll, f_m
+
+
+#: Step cap of the inner Newton, which stops once its step in lam is at most 1e-10 or
+#: f_lam is at round-off (1e-14, about 1e-16 whatever the scale of the objective).
+_NEWTON_STEPS = 100
+
+
+def _helper_inner(stay, hop, mu):
+    """max over lam at each mu of a stack: (lam*, f_mu there, calls).  The objective is
+    concave in lam (measured, not proved); safeguarded Newton from lam = 1/2 on f_lam,
+    stacked.  A step is taken in logit(lam), at most 8 there, as f_lam is close to affine
+    in it near lam in {0, 1}; a step that leaves the bracket bisects it instead.  Each
+    lane stops once converged or once its bracket is at float resolution, so lam stays
+    inside (0, 1)."""
+    lam, lo, hi = np.full_like(mu, 0.5), np.zeros_like(mu), np.ones_like(mu)
+    for calls in range(1, _NEWTON_STEPS + 1):
+        g, h, f_mu = _helper_slopes(np, stay, hop, lam, mu)
+        newton = h < 0
+        step = g / np.where(newton, h, -1.0)
+        lo, hi = np.where(g > 0, lam, lo), np.where(g > 0, hi, lam)
+        mid = (lo + hi) / 2
+        done = newton & (np.abs(step) <= 1e-10) | (np.abs(g) <= 1e-14) | (mid <= lo) | (mid >= hi)
+        if done.all():
+            break
+        x = lam / (lam + (1 - lam) * np.exp(np.clip(step / (lam * (1 - lam)), -8, 8)))
+        lam = np.where(done, lam, np.where(newton & (lo < x) & (x < hi), x, mid))
+    return lam, f_mu, calls * mu.size
+
+
+def _helper_inner_at(stay, hop, mu, lam):
+    """:func:`_helper_inner` at one mu in Python floats, from ``lam``."""
+    lo, hi = 0.0, 1.0
+    for calls in range(1, _NEWTON_STEPS + 1):
+        g, h, f_mu = _helper_slopes(math, stay, hop, lam, mu)
+        newton = h < 0
+        step = g / h if newton else 0.0
+        lo, hi = (lam, hi) if g > 0 else (lo, lam)
+        mid = (lo + hi) / 2
+        if newton and abs(step) <= 1e-10 or abs(g) <= 1e-14 or not lo < mid < hi:
+            break
+        x = lam / (lam + (1 - lam) * math.exp(max(-8.0, min(8.0, step / (lam * (1 - lam))))))
+        lam = x if newton and lo < x < hi else mid
+    return lam, f_mu, calls
+
+
+def _helper_scan(n):
+    """The outer scan's n input weights in (0, 1/2]: 3n/8 geometric ones from 1e-12, where
+    the maximum sits past gamma = 0.76, then linear ones from 1e-2 to 1/2."""
+    k = 3 * n // 8
+    return np.concatenate([np.geomspace(1e-12, 1e-2, k, endpoint=False),
+                           np.linspace(1e-2, 0.5, n - k)])
+
+
+def _helper_peak(stay, hop, lo, hi, lam, max_iters):
+    """Root of the envelope slope F'(mu) = f_mu(lam*(mu), mu) between ``lo`` = (mu, F'(mu))
+    with F' > 0 and ``hi`` with F' <= 0, by Illinois steps (regula falsi that halves the
+    value of an end kept twice) in ln mu, bisecting where a step leaves the bracket, to
+    1e-12 in ln mu or ``max_iters`` steps; each step warm-starts :func:`_helper_inner_at`.
+    Returns (lam, mu, calls, converged) at the last step."""
+    (t0, s0), (t1, s1) = (math.log(lo[0]), lo[1]), (math.log(hi[0]), hi[1])
+    kept, calls = 0, 0
+    for _ in range(max_iters):
+        t = t0 - s0 * (t1 - t0) / (s1 - s0)
+        if not t0 < t < t1:
+            t = (t0 + t1) / 2
+        lam, st, n = _helper_inner_at(stay, hop, math.exp(t), lam)
+        calls += n
+        if st == 0.0:
+            return lam, math.exp(t), calls, True
+        if st > 0:
+            t0, s0, s1 = t, st, s1 / 2 if kept > 0 else s1
+            kept = 1
+        else:
+            t1, s1, s0 = t, st, s0 / 2 if kept < 0 else s0
+            kept = -1
+        if t1 - t0 <= 1e-12:
+            return lam, math.exp(t), calls, True
+    return lam, math.exp(t), calls, False
+
+
 def _centre_curvature(s):
     """Determinant of the objective's Hessian in (lam, mu) at the centre (1/2, 1/2), in
     closed form for 0 < s < 1, s = sin^2(pi gamma / 2): 2 (s - 1) g / (s ln^2 2), with
@@ -597,18 +702,26 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
     H((1 + 3s)/4, (1 - s)/4 x 3) - 1, the a1 curve's, with no optimizer call.
     That value is exact at the centre; that the centre is the global maximum
     is an estimate: the Hessian makes it a local one (at gamma = 0, where the
-    Hessian is singular, it reaches the one-bit bound), and the grid-and-simplex
-    search finds nothing higher there.  The diagnostics report the ``curvature``
-    and an empty restart record.
+    Hessian is singular, it reaches the one-bit bound), and the search of
+    ``tests/oracles.py`` finds nothing higher there.  The diagnostics report the
+    ``curvature`` and an empty restart record.
 
     From s_c on, the optimum splits into a mirror pair that moves to the mu
-    corners, and the function searches: a uniform grid, then simplex runs
-    seeded from the best cell and from fixed geometrically spaced points next
-    to the mu corners: always these 9 starts, as ``opts.restarts`` is unused,
-    and so is ``opts.tol``: the 1e-5 simplex tolerance is tied to the floor.
-    On both branches values at or below the resolution floor are reported as
-    exactly zero; the raw optimum is kept in the diagnostics.  A non-finite
-    gamma raises ``ValueError``.
+    corners, and the function takes nested 1-d maxima on the half mu <= 1/2
+    (mu = 0, a pure input, scores exactly 0).  At each of ``opts.grid`` scanned
+    input weights (:func:`_helper_scan`) the maximum over lam is the root of the
+    closed-form f_lam by Newton (:func:`_helper_inner`); the envelope
+    F(mu) = max_lam f is estimated there, and its slope is f_mu at that lam.  The
+    scan interval next to the best point whose slopes change sign is refined by
+    :func:`_helper_peak`, at most ``opts.max_iters`` steps; ``opts.restarts`` and
+    ``opts.tol`` are unused.  The value is :func:`_helper_objective` at the best
+    of the pure input, the scan and the refined point: an estimate with the
+    scan's resolution, its inner maximum resting on measured concavity in lam.
+    The restart record counts the refinement as one run, and ``nfev`` the
+    points at which the objective or its slopes were evaluated.  On both
+    branches values at or below the resolution floor are reported as exactly
+    zero; the raw optimum is kept in the diagnostics.  A non-finite gamma raises
+    ``ValueError``.
     """
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
@@ -620,18 +733,25 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
         diag = {"curvature": float(_centre_curvature(s)) if s else 0.0, **_record([], 0, 0)}
     else:
         opts = opts or OptimizerOptions()
-        n = opts.grid
-        xs = np.linspace(0.0, 1.0, n)
-        lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
         factors = _swap_factors(gamma)
-        vals = _helper_objective(factors, lam_g, mu_g)
-        i = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        starts = [[lam_g[i], mu_g[i]]] + [[0.5, m] for m0 in _CORNER_SEEDS for m in (m0, 1.0 - m0)]
-        z, raw, record = _maximize(lambda z: _helper_objective(factors, *np.clip(z, 0.0, 1.0).T),
-                                   starts, max(0.5 / (n - 1), 2e-5), 1e-5, opts.max_iters,
-                                   best=(starts[0], float(vals[i])))
-        lam, mu = np.clip(z, 0.0, 1.0).tolist()
-        diag = {"grid": n, **record}
+        stay, hop = float(factors[0]), float(factors[1])
+        mus = _helper_scan(opts.grid)
+        lams, slopes, nfev = _helper_inner(stay, hop, mus)
+        slopes[-1] = 0.0  # mu = 1/2: the centre is stationary
+        vals = _helper_objective(factors, lams, mus)
+        i = int(np.argmax(vals))
+        best = [(0.0, 0.5, 0.0), (float(vals[i]), float(lams[i]), float(mus[i]))]
+        j = i if slopes[i] > 0 else i - 1  # the scan interval the peak next to i lies in
+        runs, converged = [], 0
+        if 0 <= j < mus.size - 1 and slopes[j] > 0 >= slopes[j + 1]:
+            lam, mu, calls, ok = _helper_peak(stay, hop, (float(mus[j]), float(slopes[j])),
+                                              (float(mus[j + 1]), float(slopes[j + 1])),
+                                              float(lams[i]), opts.max_iters)
+            runs, converged = [float(_helper_objective(factors, lam, mu))], int(ok)
+            best.append((runs[0], lam, mu))
+            nfev += calls + 1
+        raw, lam, mu = max(best, key=lambda b: b[0])  # the first of equal values
+        diag = {"grid": opts.grid, **_record(runs, nfev + mus.size, converged)}
     value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0
     kappa = np.zeros(4, complex)
     kappa[0], kappa[3] = np.sqrt(lam), np.sqrt(1 - lam)

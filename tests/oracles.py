@@ -14,7 +14,7 @@ helpers that only tests need:
   the receiver and an entangled helper (:func:`entangled_env_channel`),
   the closed-form helper outputs of the fractional swap
   (:func:`swap_power_helper_outputs`), its entangled-helper capacity by
-  grid-and-simplex search at every gamma
+  grid-and-simplex search over (lam, mu) at every gamma
   (:func:`swap_power_helper_by_search`) and the Hessian of its objective
   at the centre of the (lam, mu) square (:func:`centre_hessian`);
 * Kraus-list operations: :func:`apply_channel`,
@@ -60,7 +60,6 @@ from envcap.canonical import (
     in_antidegradable_region,
 )
 from envcap.capacity import (
-    _CORNER_SEEDS,
     HELPER_CAPACITY_FLOOR,
     CapacityResult,
     OptimizerOptions,
@@ -212,12 +211,17 @@ def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
     return rho_hb, np.diag(diag_f).astype(complex)
 
 
+#: Geometric seeds pushed toward the mu in {0, 1} corners, where the
+#: helper-capacity optimum migrates as the swap exponent grows.
+_CORNER_SEEDS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
 def swap_power_helper_by_search(gamma: float, opts: OptimizerOptions | None = None) -> CapacityResult:
-    """Entangled-helper capacity of the fractional swap by search at every gamma:
-    the objective on a uniform (lam, mu) grid, then simplex runs seeded from the
-    best cell and from geometrically spaced points next to the mu corners, with
-    the resolution floor applied.  The library searches this way only from
-    gamma_c on and takes the centre's closed form below it."""
+    """Entangled-helper capacity of the fractional swap by a 2-d search at every
+    gamma: the objective on a uniform (lam, mu) grid, then 9 lockstep simplex runs
+    (tolerance 1e-5) seeded from the best cell and from geometrically spaced points
+    next to the mu corners, with the resolution floor applied.  The library takes
+    the centre's closed form below gamma_c and nested 1-d maxima past it."""
     opts = opts or OptimizerOptions()
     n = opts.grid
     xs = np.linspace(0.0, 1.0, n)
