@@ -273,8 +273,8 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
 # separable-helper capacity of a two-qubit gate
 # ---------------------------------------------------------------------------
 
-#: The collective generators sigma_i (x) I + I (x) sigma_i, i = x, y, z.
-_COLLECTIVE = [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s) for s in _PAULI[1:]]
+#: The collective generators sigma_i (x) I + I (x) sigma_i, i = x, y, z, stacked.
+_COLLECTIVE = np.array([np.kron(s, np.eye(2)) + np.kron(np.eye(2), s) for s in _PAULI[1:]])
 
 _KET0 = np.array([1, 0], dtype=complex)
 
@@ -283,7 +283,7 @@ def _swap_symmetric(v: BipartiteUnitary) -> bool:
     """Whether ``v`` commutes with every u (x) u: with the three collective
     generators to 1e-12.  Swap powers and the gates (a, a, a) do."""
     m = v.matrix
-    return all(np.abs(m @ g - g @ m).max() <= 1e-12 for g in _COLLECTIVE)
+    return bool(np.abs(m @ _COLLECTIVE - _COLLECTIVE @ m).max() <= 1e-12)
 
 
 def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
@@ -298,7 +298,7 @@ def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
     Otherwise N is degradable, and its capacity is the maximum over the |1>
     population q of the concave
     f(q) = h((1 - p) q) - h(p q) (Giovannetti & Fazio, 2005): the root of
-    f' by bisection to float resolution, valued by :func:`coherent_info`.
+    f' by :func:`_newton_root` to float resolution, valued as f(q) itself.
     Concavity bounds the maximum by f(q) + |f'(q)|, the ``bracket``.
     """
     p = float(abs(v.matrix[1, 2]) ** 2)
@@ -307,17 +307,18 @@ def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
     if not degradable:
         return CapacityResult(0.0, diagnostics={**diag, "raw_value": 0.0, "bracket": (0.0, 0.0)})
 
-    def slope(q):  # f'(q) in nats, logs taken apart: tiny p neither underflows nor rounds off
+    def slopes(q):  # f'(q), f''(q) in nats, logs apart: tiny p neither underflows nor rounds off
         return ((1 - p) * (math.log(1 - q + p * q) - math.log1p(-p) - math.log(q))
-                - p * (math.log1p(-p * q) - math.log(p) - math.log(q)))
+                - p * (math.log1p(-p * q) - (math.log(p) if p else 0.0) - math.log(q)),
+                p * p / (1 - p * q) - (1 - p) ** 2 / (1 - q + p * q) - (1 - 2 * p) / q)
 
-    q = 0.5 if p == 0.0 else find_zero_crossing(slope, 1e-300, 1.0, 1e-300)
-    rho = bloch_density(np.array([0.0, 0.0, 1.0 - 2.0 * q]))  # diag(1 - q, q)
-    raw = float(_coherent_info(batch_effective_kraus(v, _KET0), rho))
+    q, (slope, _), _ = _newton_root(slopes, 0.5, 0.0, 0.0)
+    h = entropy_terms(np.array([(1 - p) * q, 1 - q + p * q, p * q, 1 - p * q]))
+    raw = float(h[0] + h[1] - (h[2] + h[3]))
     value = max(0.0, raw)
-    gap = abs(slope(q)) / math.log(2) if p else 0.0
-    return CapacityResult(value, argmax_input=rho, argmax_env=_KET0,
-                          diagnostics={**diag, "raw_value": raw, "bracket": (value, value + gap)})
+    rho = bloch_density(np.array([0.0, 0.0, 1.0 - 2.0 * q]))  # diag(1 - q, q)
+    return CapacityResult(value, argmax_input=rho, argmax_env=_KET0, diagnostics={
+        **diag, "raw_value": raw, "bracket": (value, value + abs(slope) / math.log(2))})
 
 
 def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -527,6 +528,34 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
+#: Step cap of the Newton loops.  The entangled helper's inner one stops at a 1e-10 step in
+#: lam or at f_lam at round-off (1e-14, about 1e-16 whatever the scale of the objective).
+_NEWTON_STEPS = 100
+
+
+def _newton_root(slopes, x, step_tol, slope_tol):
+    """Maximum on (0, 1) of a concave function: the root of its slope g by Newton from ``x``,
+    ``slopes(x)`` = (g, g', ...), with g > 0 near 0 and g <= 0 near 1.  Steps go in logit(x),
+    at most 8; one leaving the bracket bisects it, one below float resolution moves x a float,
+    so a one-sided approach closes the bracket.  Stops at a step <= ``step_tol``, |g| <=
+    ``slope_tol`` or a float-resolution bracket; returns (x, slopes(x), calls)."""
+    lo, hi = 0.0, 1.0
+    for calls in range(1, _NEWTON_STEPS + 1):
+        at = slopes(x)
+        g, h = at[:2]
+        newton = h < 0
+        step = g / h if newton else 0.0
+        lo, hi = (x, hi) if g > 0 else (lo, x)
+        mid = (lo + hi) / 2
+        if newton and abs(step) <= step_tol or abs(g) <= slope_tol or not lo < mid < hi:
+            break
+        y = x / (x + (1 - x) * math.exp(max(-8.0, min(8.0, step / (x * (1 - x))))))
+        if y == x:
+            y = math.nextafter(x, hi if g > 0 else lo)
+        x = y if newton and lo < y < hi else mid
+    return x, at, calls
+
+
 # ---------------------------------------------------------------------------
 # entangled helper
 # ---------------------------------------------------------------------------
@@ -565,91 +594,85 @@ def _helper_objective(factors, lam, mu):
     return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
 
 
-def _helper_slopes(xp, stay, hop, lam, mu):
-    """f_lam, f_lamlam and f_mu of :func:`_helper_objective` in nats, without its floor, at
-    0 < lam, mu < 1 and the :func:`_swap_factors` ``stay`` = c and ``hop`` = s; ``xp`` is
-    numpy for arrays, math for floats.  Every output is affine in lam and mu except
-    r = sqrt(d^2 + lam (1 - lam) |z|^2), with |z|^2 = s^2 + (1 - 2mu)^2 s c, and rho_hb's
-    small eigenvalue is taken as w- = lam (1 - lam) mu (1 - mu) c (1 + 3s) / w+, free of the
-    cancellation in half - r.  Each output has trace 1, so the -dw of d(-w ln w) cancels."""
-    c, s, lam1, mu1 = stay, hop, 1 - lam, 1 - mu
-    d = (lam * (s + mu * c) - lam1 * (1 - mu * c)) / 2  # (p00 - p11) / 2
+def _helper_slopes(xp, stay, hop, mu):
+    """lam -> (f_lam, f_lamlam, f_mu as a function of no arguments) of :func:`_helper_objective`
+    in nats, no floor, at 0 < mu < 1 and the :func:`_swap_factors` ``stay`` = c, ``hop`` = s;
+    ``xp`` is numpy or math.  Terms in mu alone are taken once; products holding lam are left
+    whole, so the floats are those of the formula unsplit.  Each output is affine in lam and
+    mu but r = sqrt(d^2 + lam (1 - lam) |z|^2), |z|^2 = s^2 + (1 - 2mu)^2 s c; w- = lam (1 - lam)
+    mu (1 - mu) c (1 + 3s) / w+ is free of half - r's cancellation; trace 1 makes the -dw of
+    d(-w ln w) cancel."""
+    c, s, mu1 = stay, hop, 1 - mu
     zz = s * s + (1 - 2 * mu) ** 2 * s * c
-    r = xp.sqrt(d * d + lam * lam1 * zz)
-    wp = d + lam1 * (1 - mu * c) + r
-    wm = lam * lam1 * mu * mu1 * c * (1 + 3 * s) / wp
-    f0 = mu * s + lam * c
-    lp, lm, lf = xp.log(wp), xp.log(wm), xp.log(f0 / (1 - f0))
-    l01, l10 = xp.log(lam * mu1 * c), xp.log(lam1 * mu * c)
-    rl = ((1 + s) / 2 * d + (1 - 2 * lam) * zz / 2) / r
-    wp_l = c * (2 * mu - 1) / 2 + rl
-    q = (1 - 2 * lam) / (lam * lam1) - wp_l / wp  # d ln w- / d lam
-    rll = ((1 + s) ** 2 / 4 - zz - rl * rl) / r
-    f_l = c * lf - (wp_l * lp + wm * q * lm + c * (mu1 * l01 - mu * l10))
-    f_ll = (c * c / (f0 * (1 - f0)) - rll * (lp - lm) - wp_l * wp_l / wp - wm * q * q
-            - c * (mu1 / lam + mu / lam1))
-    wp_m = c * (2 * lam - 1) / 2 + (c * d / 2 - 2 * lam * lam1 * (1 - 2 * mu) * s * c) / r
-    wm_m = wm * ((1 - 2 * mu) / (mu * mu1) - wp_m / wp)
-    f_m = s * lf - (wp_m * lp + wm_m * lm + c * (lam1 * l10 - lam * l01))
-    return f_l, f_ll, f_m
+    a, b, mus = s + mu * c, 1 - mu * c, mu * s
+    wp_l0, rll0 = c * (2 * mu - 1) / 2, (1 + s) ** 2 / 4 - zz
 
+    def at(lam):
+        lam1, tilt = 1 - lam, 1 - 2 * lam
+        ll, p11 = lam * lam1, lam1 * b
+        d = (lam * a - p11) / 2  # (p00 - p11) / 2
+        r = xp.sqrt(d * d + ll * zz)
+        wp = d + p11 + r
+        wm = ll * mu * mu1 * c * (1 + 3 * s) / wp
+        f0 = mus + lam * c
+        f1 = 1 - f0
+        lp, lm, lf = xp.log(wp), xp.log(wm), xp.log(f0 / f1)
+        l01, l10 = xp.log(lam * mu1 * c), xp.log(lam1 * mu * c)
+        rl = ((1 + s) / 2 * d + tilt * zz / 2) / r
+        wp_l = wp_l0 + rl
+        q = tilt / ll - wp_l / wp  # d ln w- / d lam
+        rll, wmq = (rll0 - rl * rl) / r, wm * q
+        f_l = c * lf - (wp_l * lp + wmq * lm + c * (mu1 * l01 - mu * l10))
+        f_ll = (c * c / (f0 * f1) - rll * (lp - lm) - wp_l * wp_l / wp - wmq * q
+                - c * (mu1 / lam + mu / lam1))
 
-#: Step cap of the inner Newton, which stops once its step in lam is at most 1e-10 or
-#: f_lam is at round-off (1e-14, about 1e-16 whatever the scale of the objective).
-_NEWTON_STEPS = 100
+        def f_mu():
+            wp_m = c * (2 * lam - 1) / 2 + (c * d / 2 - 2 * ll * (1 - 2 * mu) * s * c) / r
+            wm_m = wm * ((1 - 2 * mu) / (mu * mu1) - wp_m / wp)
+            return s * lf - (wp_m * lp + wm_m * lm + c * (lam1 * l10 - lam * l01))
+        return f_l, f_ll, f_mu
+    return at
 
 
 def _helper_inner(stay, hop, mu):
     """max over lam at each mu of a stack: (lam*, f_mu there, calls).  The objective is
-    concave in lam (measured, not proved); safeguarded Newton from lam = 1/2 on f_lam,
-    stacked.  A step is taken in logit(lam), at most 8 there, as f_lam is close to affine
-    in it near lam in {0, 1}; a step that leaves the bracket bisects it instead.  Each
-    lane stops once converged or once its bracket is at float resolution, so lam stays
-    inside (0, 1)."""
+    concave in lam (measured, not proved): :func:`_newton_root`'s steps from lam = 1/2,
+    stacked, with f_mu taken at the end.  Each lane stops once converged or at a
+    float-resolution bracket, so lam stays inside (0, 1)."""
+    slopes = _helper_slopes(np, stay, hop, mu)
     lam, lo, hi = np.full_like(mu, 0.5), np.zeros_like(mu), np.ones_like(mu)
     for calls in range(1, _NEWTON_STEPS + 1):
-        g, h, f_mu = _helper_slopes(np, stay, hop, lam, mu)
+        g, h, f_mu = slopes(lam)
         newton = h < 0
         step = g / np.where(newton, h, -1.0)
-        lo, hi = np.where(g > 0, lam, lo), np.where(g > 0, hi, lam)
+        up = g > 0
+        lo, hi = np.where(up, lam, lo), np.where(up, hi, lam)
         mid = (lo + hi) / 2
         done = newton & (np.abs(step) <= 1e-10) | (np.abs(g) <= 1e-14) | (mid <= lo) | (mid >= hi)
         if done.all():
             break
-        x = lam / (lam + (1 - lam) * np.exp(np.clip(step / (lam * (1 - lam)), -8, 8)))
+        lam1 = 1 - lam
+        x = lam / (lam + lam1 * np.exp(np.minimum(np.maximum(step / (lam * lam1), -8.0), 8.0)))
         lam = np.where(done, lam, np.where(newton & (lo < x) & (x < hi), x, mid))
-    return lam, f_mu, calls * mu.size
+    return lam, f_mu(), calls * mu.size
 
 
-def _helper_inner_at(stay, hop, mu, lam):
-    """:func:`_helper_inner` at one mu in Python floats, from ``lam``."""
-    lo, hi = 0.0, 1.0
-    for calls in range(1, _NEWTON_STEPS + 1):
-        g, h, f_mu = _helper_slopes(math, stay, hop, lam, mu)
-        newton = h < 0
-        step = g / h if newton else 0.0
-        lo, hi = (lam, hi) if g > 0 else (lo, lam)
-        mid = (lo + hi) / 2
-        if newton and abs(step) <= 1e-10 or abs(g) <= 1e-14 or not lo < mid < hi:
-            break
-        x = lam / (lam + (1 - lam) * math.exp(max(-8.0, min(8.0, step / (lam * (1 - lam))))))
-        lam = x if newton and lo < x < hi else mid
-    return lam, f_mu, calls
-
-
+@cache
 def _helper_scan(n):
-    """The outer scan's n input weights in (0, 1/2]: 3n/8 geometric ones from 1e-12, where
-    the maximum sits past gamma = 0.76, then linear ones from 1e-2 to 1/2."""
+    """The outer scan's n input weights in (0, 1/2], read-only: 3n/8 geometric ones from
+    1e-12, where the maximum sits past gamma = 0.76, then linear ones from 1e-2 to 1/2."""
     k = 3 * n // 8
-    return np.concatenate([np.geomspace(1e-12, 1e-2, k, endpoint=False),
-                           np.linspace(1e-2, 0.5, n - k)])
+    mus = np.concatenate([np.geomspace(1e-12, 1e-2, k, endpoint=False),
+                          np.linspace(1e-2, 0.5, n - k)])
+    mus.setflags(write=False)
+    return mus
 
 
 def _helper_peak(stay, hop, lo, hi, lam, max_iters):
     """Root of the envelope slope F'(mu) = f_mu(lam*(mu), mu) between ``lo`` = (mu, F'(mu))
     with F' > 0 and ``hi`` with F' <= 0, by Illinois steps (regula falsi that halves the
     value of an end kept twice) in ln mu, bisecting where a step leaves the bracket, to
-    1e-12 in ln mu or ``max_iters`` steps; each step warm-starts :func:`_helper_inner_at`.
+    1e-12 in ln mu or ``max_iters`` steps; each step warm-starts the inner :func:`_newton_root`.
     Returns (lam, mu, calls, converged) at the last step."""
     (t0, s0), (t1, s1) = (math.log(lo[0]), lo[1]), (math.log(hi[0]), hi[1])
     kept, calls = 0, 0
@@ -657,8 +680,9 @@ def _helper_peak(stay, hop, lo, hi, lam, max_iters):
         t = t0 - s0 * (t1 - t0) / (s1 - s0)
         if not t0 < t < t1:
             t = (t0 + t1) / 2
-        lam, st, n = _helper_inner_at(stay, hop, math.exp(t), lam)
-        calls += n
+        slopes = _helper_slopes(math, stay, hop, math.exp(t))  # lam*(mu) as in _helper_inner
+        lam, (_, _, f_mu), n = _newton_root(slopes, lam, 1e-10, 1e-14)
+        st, calls = f_mu(), calls + n
         if st == 0.0:
             return lam, math.exp(t), calls, True
         if st > 0:

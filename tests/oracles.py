@@ -9,6 +9,8 @@ helpers that only tests need:
 * the gate :data:`DCNOT`; states and products: :func:`tensor`,
   :func:`partial_trace`, :func:`binary_entropy`, :func:`maximally_mixed`, :func:`random_pure_state`,
   :func:`random_density_matrix`;
+* the amplitude-damping objective h((1 - p) q) - h(p q) to 40 digits
+  (:func:`damping_value_by_decimal`);
 * channels of a two-qubit gate besides the effective one: the channel
   into the environment (:func:`complementary_channel`), the channel to
   the receiver and an entangled helper (:func:`entangled_env_channel`),
@@ -45,7 +47,9 @@ helpers that only tests need:
 
 from __future__ import annotations
 
+import decimal
 import json
+from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
@@ -140,6 +144,18 @@ def binary_entropy(x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
     return float(sum(-p * np.log2(p) for p in (x, 1.0 - x) if p > ENTROPY_EIG_FLOOR))
+
+
+def damping_value_by_decimal(p: float, q: float) -> float:
+    """h((1 - p) q) - h(p q) in bits at the floats p and q, in 40-digit decimal arithmetic,
+    terms at or below ENTROPY_EIG_FLOOR dropped as the library drops them."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        p, q, floor = Decimal(p), Decimal(q), Decimal(ENTROPY_EIG_FLOOR)
+
+        def h(x):
+            return sum(-y * y.ln() / Decimal(2).ln() for y in (x, 1 - x) if y > floor)
+        return float(h((1 - p) * q) - h(p * q))
 
 
 def maximally_mixed(dim: int) -> np.ndarray:

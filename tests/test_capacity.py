@@ -19,6 +19,7 @@ from envcap.channels import BipartiteUnitary, KrausChannel, effective_channel
 from envcap import capacity
 from envcap.capacity import (
     _EXTENSION_MARGIN,
+    _NEWTON_STEPS,
     _RHO_CANDIDATES,
     BracketError,
     OptimizerOptions,
@@ -63,6 +64,7 @@ from oracles import (
     binary_entropy,
     centre_hessian,
     choi_state,
+    damping_value_by_decimal,
     entangled_env_channel,
     entangled_helper_coherent_info,
     extension_slack_by_pauli_weights,
@@ -490,6 +492,57 @@ class TestSeparableHelperSymmetry:
             lo, hi = res.diagnostics["bracket"]
             assert lo == res.value <= hi <= lo + 1e-9
             assert res.diagnostics["nfev"] == res.diagnostics["restarts"] == 0
+
+    def test_root_contract(self, monkeypatch):
+        # on a log grid of the damping p up to the degradability edge and on every eh_swap
+        # row at grid 200: q lies one float from a sign change of the slope (or on a zero),
+        # the value is f(q) to round-off and the bracket is at round-off; the Newton loop
+        # ends well under its cap, also where every iterate between the first and the last
+        # lies on one side of the root.  The value is checked against coherent_info on the
+        # rows; on the grid, against f(q) in decimal arithmetic, as coherent_info's small
+        # eigenvalue half - r is off by up to 1e-16, which -x log x makes 1.9e-15 at
+        # p = 2.9e-11
+        newton, runs = capacity._newton_root, []
+
+        def recorded(slopes, *args, **kwargs):
+            signs = []
+
+            def probe(q):
+                at = slopes(q)
+                signs.append(at[0] > 0)
+                return at
+            out = newton(probe, *args, **kwargs)
+            runs.append((out[0], slopes, signs, out[2]))
+            return out
+
+        monkeypatch.setattr(capacity, "_newton_root", recorded)
+        ps = np.geomspace(1e-30, 0.5 - 2 * SYMMETRIC_TOL, 120)
+        gates = [swap_power(2 / PI * np.arcsin(np.sqrt(p))) for p in ps]
+        gates += [swap_power(g) for g in np.linspace(0.0, 1.0, 200)]
+        one_sided = 0
+        for k, v in enumerate(gates):
+            row = k >= ps.size
+            n = len(runs)
+            res = separable_helper_capacity(v)
+            p = res.diagnostics["damping"]
+            if 1 - 2 * p <= SYMMETRIC_TOL:
+                assert len(runs) == n
+                continue
+            assert len(runs) == n + 1, p
+            q, slopes, signs, calls = runs[-1]
+            slope = slopes(q)[0]
+            assert slope == 0.0 or any((slopes(math.nextafter(q, end))[0] > 0) != (slope > 0)
+                                       for end in (0.0, 1.0)), p
+            raw = res.diagnostics["raw_value"]
+            assert abs(raw - damping_value_by_decimal(p, q)) <= 5e-16, p
+            if row:
+                want = coherent_info(effective_channel(v, KET0), np.diag([1 - q, q]))
+                assert abs(raw - want) <= 1e-15, p
+            lo, hi = res.diagnostics["bracket"]
+            assert lo == res.value and hi - lo <= 1e-15, p
+            assert calls <= 16 < _NEWTON_STEPS, p  # Newton's pace; bisection takes about 55
+            one_sided += len(signs) > 2 and len(set(signs[1:-1])) == 1
+        assert len(runs) == 120 + 100 and one_sided >= 50
 
     def test_amplitude_damping_closed_form(self):
         # the value is h((1 - p) q) - h(p q) at the |1> population q
@@ -1327,6 +1380,40 @@ class TestHelperCentre:
 #: The eh_swap rows past gamma_c, where the entangled helper takes nested 1-d maxima.
 SEARCHED_GAMMAS = np.linspace(0.0, 1.0, 64)[41:]
 
+#: (nfev, restarts, converged, lam, mu, raw_value) of the SEARCHED_GAMMAS rows at default
+#: options, frozen from the first release of the nested maxima.
+SEARCHED_DIAGNOSTICS = (
+    (334, 1, 1, 0.5206170227054596, 0.2015600140811468, 0.057390024733227296),
+    (333, 1, 1, 0.5280100631497125, 0.0739545093099702, 0.026777739351023233),
+    (335, 1, 1, 0.5281367976553688, 0.029463668656382225, 0.011494009180304632),
+    (334, 1, 1, 0.5254405142740832, 0.011198940091328734, 0.004373236810349401),
+    (333, 1, 1, 0.5213838817529534, 0.0037729288731157273, 0.0014092752761094562),
+    (333, 1, 1, 0.5166879848613092, 0.0010467950962672016, 0.00036251014594812503),
+    (331, 1, 1, 0.5117585647923364, 0.00021905554590023833, 6.88137694683233e-05),
+    (331, 1, 1, 0.5068124874622256, 3.093156970922252e-05, 8.678966890496298e-06),
+    (332, 1, 1, 0.5019374851966342, 2.5458483384600978e-06, 6.303321908873727e-07),
+    (392, 1, 1, 0.49714613885409703, 9.977900751038768e-08, 2.154890821337574e-08),
+    (392, 1, 1, 0.4924208586697599, 1.387835460919349e-09, 2.5814683723979215e-10),
+    (384, 0, 0, 0.5, 0.0, 0.0),
+    (384, 0, 0, 0.5, 0.0, 0.0),
+    (384, 0, 0, 0.5, 0.0, 0.0),
+    (448, 0, 0, 0.5, 0.0, 0.0),
+    (448, 0, 0, 0.5, 0.0, 0.0),
+    (448, 0, 0, 0.5, 0.0, 0.0),
+    (512, 0, 0, 0.5, 0.0, 0.0),
+    (576, 0, 0, 0.5, 0.0, 0.0),
+    (512, 0, 0, 0.5, 0.0, 0.0),
+    (448, 0, 0, 0.5, 0.0, 0.0),
+    (448, 0, 0, 0.5, 0.0, 0.0),
+    (128, 0, 0, 0.5, 0.0, 0.0),
+)
+
+
+def helper_slopes(xp, factors, lam, mu):
+    """(f_lam, f_lamlam, f_mu) of the entangled-helper objective at :func:`_swap_factors`."""
+    f_l, f_ll, f_mu = _helper_slopes(xp, float(factors[0]), float(factors[1]), mu)(lam)
+    return f_l, f_ll, f_mu()
+
 
 class TestHelperNested:
     """Past gamma_c: the maximum over lam by Newton on closed-form slopes, over mu
@@ -1344,10 +1431,9 @@ class TestHelperNested:
             fd = ((f(lam + h, mu) - f(lam - h, mu)) / (2 * h),
                   (f(lam + 10 * h, mu) - 2 * f(lam, mu) + f(lam - 10 * h, mu)) / (10 * h) ** 2,
                   (f(lam, mu + hm) - f(lam, mu - hm)) / (2 * hm))
-            got = _helper_slopes(math, float(factors[0]), float(factors[1]), lam, mu)
+            got = helper_slopes(math, factors, lam, mu)
             assert np.abs(np.subtract(got, fd)).max() <= 1e-6, (lam, mu)
-            stacked = _helper_slopes(np, float(factors[0]), float(factors[1]),
-                                     np.array([lam]), np.array([mu]))
+            stacked = helper_slopes(np, factors, np.array([lam]), np.array([mu]))
             assert np.allclose(np.ravel(stacked), got, rtol=1e-13, atol=1e-15)
 
     def test_objective_concave_in_lam(self):
@@ -1387,5 +1473,26 @@ class TestHelperNested:
                 assert 0.0 < d["lam"] < 1.0 and 0.0 <= d["mu"] <= 0.5
         for lam in (1e-30, 0.5, 1 - 2 ** -53):
             for mu in (1e-12, 0.5):
-                assert np.isfinite(_helper_slopes(math, 1e-33, 1.0, lam, mu)).all()
-                assert np.isfinite(_helper_slopes(math, 0.3, 0.7, lam, mu)).all()
+                assert np.isfinite(helper_slopes(math, (1e-33, 1.0), lam, mu)).all()
+                assert np.isfinite(helper_slopes(math, (0.3, 0.7), lam, mu)).all()
+
+    def test_frozen_diagnostics(self):
+        for gamma, (nfev, restarts, converged, lam, mu, raw) in zip(SEARCHED_GAMMAS,
+                                                                     SEARCHED_DIAGNOSTICS,
+                                                                     strict=True):
+            d = swap_power_helper_capacity(gamma).diagnostics
+            assert (d["nfev"], d["restarts"], d["converged"]) == (nfev, restarts, converged)
+            assert abs(d["lam"] - lam) <= 1e-12 and abs(d["mu"] - mu) <= 1e-12, gamma
+            assert abs(d["raw_value"] - raw) <= 1e-12, gamma
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 257])
+    def test_scan_is_built_once(self, n):
+        mus = _helper_scan(n)
+        assert _helper_scan(n) is mus
+        assert not mus.flags.writeable
+        with pytest.raises(ValueError):
+            mus[0] = 0.25
+        k = 3 * n // 8
+        want = np.concatenate([np.geomspace(1e-12, 1e-2, k, endpoint=False),
+                               np.linspace(1e-2, 0.5, n - k)])
+        assert np.array_equal(mus, want)
