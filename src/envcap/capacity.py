@@ -23,7 +23,8 @@ this module provides:
   closed-form objective over the helper's Schmidt weight and the input:
   its centre in closed form below gamma_c = 0.642893..., where the centre
   stops being a maximum, and nested 1-d maxima from there on: over the
-  helper weight by Newton, over the input weight by a scan and a secant.
+  helper weight by Newton, over the input weight by a scan and a secant,
+  the objective's value and slopes taken from one set of closed-form terms.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .linalg import (
     _in_ball,
     bloch_density,
     bloch_state,
+    check_count,
     check_density_matrix,
     entropy,
     entropy_from_eigvals,
@@ -77,24 +79,28 @@ _NM_TRIAL = np.array([[2.0, 3.0, 1.5, 0.5], [1.0, 2.0, 0.5, -0.5]])[..., None]
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """Settings of the optimizer routines, each of which reads only some of them.
+
+    ``restarts``, ``tol`` and ``max_iters`` drive the Nelder-Mead searches of
+    :func:`max_coherent_info` (behind :func:`jammer_value`'s upper end too) and of the
+    generic branch of :func:`separable_helper_capacity`, which allows 4 * ``max_iters``
+    iterations.  ``grid`` is the side of that branch's (theta, phi) sphere and the number
+    of input weights :func:`swap_power_helper_capacity` scans past gamma_c, where
+    ``max_iters`` caps the steps of its refinement.  :func:`_symmetric_helper_capacity`
+    reads none.  A count below 1 (``grid`` below 2), or a ``tol`` that is not finite and
+    positive, raises ``ValueError``.
+    """
     restarts: int = 8
     grid: int = 64
     tol: float = 1e-8
     max_iters: int = 500
 
     def __post_init__(self):
-        for name, value in (("restarts", self.restarts), ("grid", self.grid),
-                            ("max_iters", self.max_iters)):
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
+        check_count("restarts", self.restarts, 1)
+        check_count("grid", self.grid, 2)
+        check_count("max_iters", self.max_iters, 1)
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -560,48 +566,16 @@ def _newton_root(slopes, x, step_tol, slope_tol):
 # entangled helper
 # ---------------------------------------------------------------------------
 
-def _swap_factors(gamma):
-    """cos^2 and sin^2 of pi gamma / 2, then e^{-i pi gamma} and e^{i pi gamma}."""
-    return (np.cos(np.pi * gamma / 2) ** 2, np.sin(np.pi * gamma / 2) ** 2,
-            np.exp(-1j * np.pi * gamma), np.exp(1j * np.pi * gamma))
-
-
-def _helper_terms(factors, lam, mu):
-    """The diagonal of rho_hb, its |00><11| coherence as root * z and the diagonal
-    of rho_f: the entangled-helper outputs at the :func:`_swap_factors` of gamma."""
-    stay, hop, down, up = factors
-    lam1, mu1 = 1 - lam, 1 - mu
-    p00 = lam * (mu + mu1 * hop)
-    p11 = lam1 * (mu1 + mu * hop)
-    root = np.sqrt(np.maximum(lam * lam1, 0.0))
-    z = 0.5 - mu / 2 * down - mu1 / 2 * up
-    p01 = lam * mu1 * stay
-    p10 = mu * lam1 * stay
-    f0 = lam * mu + p01 + mu * lam1 * hop
-    f1 = lam1 * mu1 + lam * mu1 * hop + p10
-    return (p00, p01, p10, p11), root, z, (f0, f1)
-
-
-def _helper_objective(factors, lam, mu):
-    """Vectorized entropy difference of the closed-form outputs at :func:`_swap_factors`."""
-    (p00, p01, p10, p11), root, z, (f0, f1) = _helper_terms(
-        factors, np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
-    half = (p00 + p11) / 2
-    r = np.sqrt(((p00 - p11) / 2) ** 2 + (root * np.abs(z)) ** 2)
-    w = np.empty((6,) + half.shape)  # the spectra of rho_hb and rho_f
-    w[0], w[1], w[2], w[3], w[4], w[5] = half + r, half - r, p01, p10, f0, f1
-    h = entropy_terms(w)
-    return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
-
-
 def _helper_slopes(xp, stay, hop, mu):
-    """lam -> (f_lam, f_lamlam, f_mu as a function of no arguments) of :func:`_helper_objective`
-    in nats, no floor, at 0 < mu < 1 and the :func:`_swap_factors` ``stay`` = c, ``hop`` = s;
-    ``xp`` is numpy or math.  Terms in mu alone are taken once; products holding lam are left
-    whole, so the floats are those of the formula unsplit.  Each output is affine in lam and
-    mu but r = sqrt(d^2 + lam (1 - lam) |z|^2), |z|^2 = s^2 + (1 - 2mu)^2 s c; w- = lam (1 - lam)
-    mu (1 - mu) c (1 + 3s) / w+ is free of half - r's cancellation; trace 1 makes the -dw of
-    d(-w ln w) cancel."""
+    """lam -> (f_lam, f_lamlam, f_mu, f) of the entangled-helper objective f = S(rho_hb) - S(rho_f)
+    at 0 < mu < 1, c = ``stay`` = cos^2(pi gamma / 2), s = ``hop`` = sin^2: slopes in nats, no
+    floor, f_mu and f (bits, through :func:`entropy_terms`) as functions of no arguments; ``xp``
+    is numpy or math.  The spectra are w+-, lam (1 - mu) c, (1 - lam) mu c and f0 = mu s + lam c,
+    1 - f0, with w+ = half + r from p00 = lam (s + mu c), p11 = (1 - lam)(1 - mu c) and
+    r = sqrt(d^2 + lam (1 - lam) |z|^2), d = (p00 - p11) / 2, |z|^2 = s^2 + (1 - 2mu)^2 s c;
+    w- = lam (1 - lam) mu (1 - mu) c (1 + 3s) / w+ is free of half - r's cancellation.  Terms in
+    mu alone are taken once; products holding lam are left whole, so the floats are those of the
+    formula unsplit; trace 1 makes the -dw of d(-w ln w) cancel."""
     c, s, mu1 = stay, hop, 1 - mu
     zz = s * s + (1 - 2 * mu) ** 2 * s * c
     a, b, mus = s + mu * c, 1 - mu * c, mu * s
@@ -614,10 +588,11 @@ def _helper_slopes(xp, stay, hop, mu):
         r = xp.sqrt(d * d + ll * zz)
         wp = d + p11 + r
         wm = ll * mu * mu1 * c * (1 + 3 * s) / wp
+        p01, p10 = lam * mu1 * c, lam1 * mu * c
         f0 = mus + lam * c
         f1 = 1 - f0
         lp, lm, lf = xp.log(wp), xp.log(wm), xp.log(f0 / f1)
-        l01, l10 = xp.log(lam * mu1 * c), xp.log(lam1 * mu * c)
+        l01, l10 = xp.log(p01), xp.log(p10)
         rl = ((1 + s) / 2 * d + tilt * zz / 2) / r
         wp_l = wp_l0 + rl
         q = tilt / ll - wp_l / wp  # d ln w- / d lam
@@ -630,19 +605,23 @@ def _helper_slopes(xp, stay, hop, mu):
             wp_m = c * (2 * lam - 1) / 2 + (c * d / 2 - 2 * ll * (1 - 2 * mu) * s * c) / r
             wm_m = wm * ((1 - 2 * mu) / (mu * mu1) - wp_m / wp)
             return s * lf - (wp_m * lp + wm_m * lm + c * (lam1 * l10 - lam * l01))
-        return f_l, f_ll, f_mu
+
+        def f():
+            h = entropy_terms(np.array([wp, wm, p01, p10, f0, f1]))
+            return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
+        return f_l, f_ll, f_mu, f
     return at
 
 
 def _helper_inner(stay, hop, mu):
-    """max over lam at each mu of a stack: (lam*, f_mu there, calls).  The objective is
-    concave in lam (measured, not proved): :func:`_newton_root`'s steps from lam = 1/2,
-    stacked, with f_mu taken at the end.  Each lane stops once converged or at a
+    """max over lam at each mu of a stack: (lam*, f_mu and f there, calls).  The objective
+    is concave in lam (measured, not proved): :func:`_newton_root`'s steps from lam = 1/2,
+    stacked, with f_mu and f taken at the end.  Each lane stops once converged or at a
     float-resolution bracket, so lam stays inside (0, 1)."""
     slopes = _helper_slopes(np, stay, hop, mu)
     lam, lo, hi = np.full_like(mu, 0.5), np.zeros_like(mu), np.ones_like(mu)
     for calls in range(1, _NEWTON_STEPS + 1):
-        g, h, f_mu = slopes(lam)
+        g, h, f_mu, f = slopes(lam)
         newton = h < 0
         step = g / np.where(newton, h, -1.0)
         up = g > 0
@@ -654,7 +633,7 @@ def _helper_inner(stay, hop, mu):
         lam1 = 1 - lam
         x = lam / (lam + lam1 * np.exp(np.minimum(np.maximum(step / (lam * lam1), -8.0), 8.0)))
         lam = np.where(done, lam, np.where(newton & (lo < x) & (x < hi), x, mid))
-    return lam, f_mu(), calls * mu.size
+    return lam, f_mu(), f(), calls * mu.size
 
 
 @cache
@@ -673,7 +652,7 @@ def _helper_peak(stay, hop, lo, hi, lam, max_iters):
     with F' > 0 and ``hi`` with F' <= 0, by Illinois steps (regula falsi that halves the
     value of an end kept twice) in ln mu, bisecting where a step leaves the bracket, to
     1e-12 in ln mu or ``max_iters`` steps; each step warm-starts the inner :func:`_newton_root`.
-    Returns (lam, mu, calls, converged) at the last step."""
+    Returns (lam, mu, f, calls, converged) at the last step."""
     (t0, s0), (t1, s1) = (math.log(lo[0]), lo[1]), (math.log(hi[0]), hi[1])
     kept, calls = 0, 0
     for _ in range(max_iters):
@@ -681,19 +660,17 @@ def _helper_peak(stay, hop, lo, hi, lam, max_iters):
         if not t0 < t < t1:
             t = (t0 + t1) / 2
         slopes = _helper_slopes(math, stay, hop, math.exp(t))  # lam*(mu) as in _helper_inner
-        lam, (_, _, f_mu), n = _newton_root(slopes, lam, 1e-10, 1e-14)
+        lam, (_, _, f_mu, f), n = _newton_root(slopes, lam, 1e-10, 1e-14)
         st, calls = f_mu(), calls + n
-        if st == 0.0:
-            return lam, math.exp(t), calls, True
         if st > 0:
             t0, s0, s1 = t, st, s1 / 2 if kept > 0 else s1
             kept = 1
-        else:
+        elif st < 0:
             t1, s1, s0 = t, st, s0 / 2 if kept < 0 else s0
             kept = -1
-        if t1 - t0 <= 1e-12:
-            return lam, math.exp(t), calls, True
-    return lam, math.exp(t), calls, False
+        if st == 0.0 or t1 - t0 <= 1e-12:
+            return lam, math.exp(t), float(f()), calls, True
+    return lam, math.exp(t), float(f()), calls, False
 
 
 def _centre_curvature(s):
@@ -738,11 +715,11 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
     F(mu) = max_lam f is estimated there, and its slope is f_mu at that lam.  The
     scan interval next to the best point whose slopes change sign is refined by
     :func:`_helper_peak`, at most ``opts.max_iters`` steps; ``opts.restarts`` and
-    ``opts.tol`` are unused.  The value is :func:`_helper_objective` at the best
-    of the pure input, the scan and the refined point: an estimate with the
-    scan's resolution, its inner maximum resting on measured concavity in lam.
-    The restart record counts the refinement as one run, and ``nfev`` the
-    points at which the objective or its slopes were evaluated.  On both
+    ``opts.tol`` are unused.  The value is the objective from its slopes' own terms
+    at the best of the pure input, the scan and the refined point: an estimate with
+    the scan's resolution, its inner maximum resting on measured concavity in lam.
+    The restart record counts the refinement as one run, and ``nfev`` the slope
+    evaluations and the values taken, one call each.  On both
     branches values at or below the resolution floor are reported as exactly
     zero; the raw optimum is kept in the diagnostics.  A non-finite gamma raises
     ``ValueError``.
@@ -757,22 +734,20 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
         diag = {"curvature": float(_centre_curvature(s)) if s else 0.0, **_record([], 0, 0)}
     else:
         opts = opts or OptimizerOptions()
-        factors = _swap_factors(gamma)
-        stay, hop = float(factors[0]), float(factors[1])
+        stay = float(np.cos(np.pi * gamma / 2) ** 2)
         mus = _helper_scan(opts.grid)
-        lams, slopes, nfev = _helper_inner(stay, hop, mus)
+        lams, slopes, vals, nfev = _helper_inner(stay, s, mus)
         slopes[-1] = 0.0  # mu = 1/2: the centre is stationary
-        vals = _helper_objective(factors, lams, mus)
         i = int(np.argmax(vals))
         best = [(0.0, 0.5, 0.0), (float(vals[i]), float(lams[i]), float(mus[i]))]
         j = i if slopes[i] > 0 else i - 1  # the scan interval the peak next to i lies in
         runs, converged = [], 0
         if 0 <= j < mus.size - 1 and slopes[j] > 0 >= slopes[j + 1]:
-            lam, mu, calls, ok = _helper_peak(stay, hop, (float(mus[j]), float(slopes[j])),
-                                              (float(mus[j + 1]), float(slopes[j + 1])),
-                                              float(lams[i]), opts.max_iters)
-            runs, converged = [float(_helper_objective(factors, lam, mu))], int(ok)
-            best.append((runs[0], lam, mu))
+            lam, mu, f, calls, ok = _helper_peak(stay, s, (float(mus[j]), float(slopes[j])),
+                                                 (float(mus[j + 1]), float(slopes[j + 1])),
+                                                 float(lams[i]), opts.max_iters)
+            runs, converged = [f], int(ok)
+            best.append((f, lam, mu))
             nfev += calls + 1
         raw, lam, mu = max(best, key=lambda b: b[0])  # the first of equal values
         diag = {"grid": opts.grid, **_record(runs, nfev + mus.size, converged)}

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, normal_form_stack
-from .linalg import bloch_state, check_state_vector, in_chunks
+from .linalg import bloch_state, check_count, check_state_vector, in_chunks
 
 #: |index| at or below this classifies as symmetric.  The index is a
 #: determinant of exactly representable 2x2 products; its noise floor is
@@ -167,9 +167,9 @@ def _sphere_monomials(grid: int) -> np.ndarray:
 
 def universally_antidegradable(m, grid: int = 64) -> np.ndarray:
     """:func:`is_universally_antidegradable` of gate matrices (n, 4, 4), taken as
-    given: the cubic's coefficients times its monomials, :data:`_SCAN_CHUNK` gates at once."""
-    if not grid >= 2:
-        raise ValueError(f"grid must be >= 2, got {grid!r}")
+    given: the cubic's coefficients times its monomials, :data:`_SCAN_CHUNK` gates at once.
+    ``grid`` must be an integer >= 2, else ``ValueError``."""
+    check_count("grid", grid, 2)
     mono = _sphere_monomials(grid)
     return in_chunks(lambda g: (_cubic_coefficients(g) @ mono <= SYMMETRIC_TOL).all(1),
                      _SCAN_CHUNK, np.asarray(m, dtype=complex))

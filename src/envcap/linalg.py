@@ -40,6 +40,15 @@ def check_unitary(u) -> np.ndarray:
     return u
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Reject ``value`` with ``ValueError`` unless it is an integer, numpy's included,
+    of at least ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def check_state_vector(psi) -> np.ndarray:
     """State vectors over the last axis of ``psi``, each of norm 1 to NORM_TOL."""
     psi = np.asarray(psi, dtype=complex)

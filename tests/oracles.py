@@ -10,12 +10,16 @@ helpers that only tests need:
   :func:`partial_trace`, :func:`binary_entropy`, :func:`maximally_mixed`, :func:`random_pure_state`,
   :func:`random_density_matrix`;
 * the amplitude-damping objective h((1 - p) q) - h(p q) to 40 digits
-  (:func:`damping_value_by_decimal`);
+  (:func:`damping_value_by_decimal`), and the fractional swap's
+  entangled-helper objective to 50 (:func:`helper_value_by_decimal`);
 * channels of a two-qubit gate besides the effective one: the channel
   into the environment (:func:`complementary_channel`), the channel to
   the receiver and an entangled helper (:func:`entangled_env_channel`),
   the closed-form helper outputs of the fractional swap
-  (:func:`swap_power_helper_outputs`), its entangled-helper capacity by
+  (:func:`swap_power_helper_outputs`) from their diagonals and coherence
+  (:func:`swap_factors`, :func:`helper_terms`), its objective with the
+  lower eigenvalue of rho_hb as half - r (:func:`helper_objective`), its
+  entangled-helper capacity by
   grid-and-simplex search over (lam, mu) at every gamma
   (:func:`swap_power_helper_by_search`) and the Hessian of its objective
   at the centre of the (lam, mu) square (:func:`centre_hessian`);
@@ -67,10 +71,7 @@ from envcap.capacity import (
     HELPER_CAPACITY_FLOOR,
     CapacityResult,
     OptimizerOptions,
-    _helper_objective,
-    _helper_terms,
     _maximize,
-    _swap_factors,
     coherent_info,
 )
 from envcap.channels import (
@@ -92,6 +93,7 @@ from envcap.linalg import (
     eigvals2,
     entropy,
     entropy_from_eigvals,
+    entropy_terms,
     maximally_entangled,
     projector,
 )
@@ -210,6 +212,63 @@ def entangled_helper_coherent_info(v, kappa, rho, dim_h: int | None = None) -> f
     return coherent_info(entangled_env_channel(v, kappa, dim_h), rho)
 
 
+def swap_factors(gamma):
+    """cos^2 and sin^2 of pi gamma / 2, then e^{-i pi gamma} and e^{i pi gamma}."""
+    return (np.cos(np.pi * gamma / 2) ** 2, np.sin(np.pi * gamma / 2) ** 2,
+            np.exp(-1j * np.pi * gamma), np.exp(1j * np.pi * gamma))
+
+
+def helper_terms(factors, lam, mu):
+    """The diagonal of rho_hb, its |00><11| coherence as root * z and the diagonal
+    of rho_f: the entangled-helper outputs at the :func:`swap_factors` of gamma."""
+    stay, hop, down, up = factors
+    lam1, mu1 = 1 - lam, 1 - mu
+    p00 = lam * (mu + mu1 * hop)
+    p11 = lam1 * (mu1 + mu * hop)
+    root = np.sqrt(np.maximum(lam * lam1, 0.0))
+    z = 0.5 - mu / 2 * down - mu1 / 2 * up
+    p01 = lam * mu1 * stay
+    p10 = mu * lam1 * stay
+    f0 = lam * mu + p01 + mu * lam1 * hop
+    f1 = lam1 * mu1 + lam * mu1 * hop + p10
+    return (p00, p01, p10, p11), root, z, (f0, f1)
+
+
+def helper_objective(factors, lam, mu):
+    """Vectorized entropy difference of the closed-form outputs at :func:`swap_factors`,
+    the lower eigenvalue of rho_hb taken as half - r."""
+    (p00, p01, p10, p11), root, z, (f0, f1) = helper_terms(
+        factors, np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    half = (p00 + p11) / 2
+    r = np.sqrt(((p00 - p11) / 2) ** 2 + (root * np.abs(z)) ** 2)
+    w = np.empty((6,) + half.shape)  # the spectra of rho_hb and rho_f
+    w[0], w[1], w[2], w[3], w[4], w[5] = half + r, half - r, p01, p10, f0, f1
+    h = entropy_terms(w)
+    return h[0] + h[1] + h[2] + h[3] - (h[4] + h[5])
+
+
+def helper_value_by_decimal(stay: float, hop: float, lam: float, mu: float) -> float:
+    """The entangled-helper objective S(rho_hb) - S(rho_f) in bits at the floats
+    c = ``stay``, s = ``hop``, lam and mu, in 50-digit decimal arithmetic: the terms of
+    :func:`helper_terms` with |z|^2 = s^2 + (1 - 2 mu)^2 s c, the lower eigenvalue of
+    rho_hb as half - r.  An eigenvalue whose nearest float is at or below ENTROPY_EIG_FLOOR
+    is dropped as the library drops it: at gamma = 1, c = 3.7e-33 lifts mu s = 1e-12 above
+    the floor only past the 16th digit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        c, s, lam, mu = map(Decimal, (stay, hop, lam, mu))
+        lam1, mu1 = 1 - lam, 1 - mu
+        p00, p11 = lam * (mu + mu1 * s), lam1 * (mu1 + mu * s)
+        p01, p10 = lam * mu1 * c, mu * lam1 * c
+        half = (p00 + p11) / 2
+        r = (((p00 - p11) / 2) ** 2 + lam * lam1 * (s * s + (1 - 2 * mu) ** 2 * s * c)).sqrt()
+
+        def h(*ws):
+            return sum(-w * w.ln() / Decimal(2).ln() for w in ws if float(w) > ENTROPY_EIG_FLOOR)
+        return float(h(half + r, half - r, p01, p10)
+                     - h(lam * mu + p01 + mu * lam1 * s, lam1 * mu1 + lam * mu1 * s + p10))
+
+
 def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
     """Closed-form output states of the fractional swap with an entangled
     helper.
@@ -221,7 +280,7 @@ def swap_power_helper_outputs(gamma: float, lam: float, mu: float):
     """
     if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
         raise ValueError("lam and mu must lie in [0, 1]")
-    diag_hb, root, z, diag_f = _helper_terms(_swap_factors(gamma), lam, mu)
+    diag_hb, root, z, diag_f = helper_terms(swap_factors(gamma), lam, mu)
     rho_hb = np.diag(diag_hb).astype(complex)
     rho_hb[0, 3], rho_hb[3, 0] = root * z, root * np.conj(z)
     return rho_hb, np.diag(diag_f).astype(complex)
@@ -242,11 +301,11 @@ def swap_power_helper_by_search(gamma: float, opts: OptimizerOptions | None = No
     n = opts.grid
     xs = np.linspace(0.0, 1.0, n)
     lam_g, mu_g = np.meshgrid(xs, xs, indexing="ij")
-    factors = _swap_factors(gamma)
-    vals = _helper_objective(factors, lam_g, mu_g)
+    factors = swap_factors(gamma)
+    vals = helper_objective(factors, lam_g, mu_g)
     i = np.unravel_index(int(np.argmax(vals)), vals.shape)
     starts = [[lam_g[i], mu_g[i]]] + [[0.5, m] for m0 in _CORNER_SEEDS for m in (m0, 1.0 - m0)]
-    z, raw, record = _maximize(lambda z: _helper_objective(factors, *np.clip(z, 0.0, 1.0).T),
+    z, raw, record = _maximize(lambda z: helper_objective(factors, *np.clip(z, 0.0, 1.0).T),
                                starts, max(0.5 / (n - 1), 2e-5), 1e-5, opts.max_iters,
                                best=(starts[0], float(vals[i])))
     value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0

@@ -27,11 +27,9 @@ from envcap.capacity import (
     _centre_curvature,
     _coherent_info,
     _extension_slack,
-    _helper_objective,
+    _helper_inner,
     _helper_scan,
     _helper_slopes,
-    _helper_terms,
-    _swap_factors,
     _symmetric_branch_end,
     coherent_info,
     find_zero_crossing,
@@ -68,6 +66,9 @@ from oracles import (
     entangled_env_channel,
     entangled_helper_coherent_info,
     extension_slack_by_pauli_weights,
+    helper_objective,
+    helper_terms,
+    helper_value_by_decimal,
     jammer_affine,
     jammer_ic,
     jammer_search,
@@ -77,6 +78,7 @@ from oracles import (
     random_pure_state,
     region_points,
     same_bits,
+    swap_factors,
     swap_power_helper_by_search,
     swap_power_helper_outputs,
     symmetric_helper_by_golden,
@@ -1061,13 +1063,13 @@ class TestHelperOutputs:
     def test_objective_is_entropy_from_eigvals(self, gamma):
         # the objective's six eigenvalues through entropy_from_eigvals, bit for bit
         lam, mu = np.meshgrid(np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 33), indexing="ij")
-        factors = _swap_factors(gamma)
-        (p00, p01, p10, p11), root, z, (f0, f1) = _helper_terms(factors, lam, mu)
+        factors = swap_factors(gamma)
+        (p00, p01, p10, p11), root, z, (f0, f1) = helper_terms(factors, lam, mu)
         half = (p00 + p11) / 2
         r = np.sqrt(((p00 - p11) / 2) ** 2 + (root * np.abs(z)) ** 2)
         hb, f = np.stack([half + r, half - r, p01, p10], -1), np.stack([f0, f1], -1)
         want = entropy_from_eigvals(hb) - entropy_from_eigvals(f)
-        assert same_bits(_helper_objective(factors, lam, mu), want)
+        assert same_bits(helper_objective(factors, lam, mu), want)
         # and they are the spectra of the closed-form outputs
         for i, j in ((0, 0), (5, 17), (32, 9), (20, 32)):
             rho_hb, rho_f = swap_power_helper_outputs(gamma, lam[i, j], mu[i, j])
@@ -1341,23 +1343,23 @@ class TestHelperCentre:
     def test_closed_form_is_the_objective_at_the_centre(self):
         for gamma in (0.05, 0.2, 0.4, 0.6, 0.64):
             got = swap_power_helper_capacity(gamma).value
-            assert got == pytest.approx(float(_helper_objective(_swap_factors(gamma), 0.5, 0.5)),
+            assert got == pytest.approx(float(helper_objective(swap_factors(gamma), 0.5, 0.5)),
                                         abs=1e-14)
             assert got == pytest.approx(a1_eigenvalue_formula(gamma), abs=1e-14)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.45, 0.7, 0.95])
     def test_objective_mirror_symmetry(self, gamma):
         lam, mu = np.random.default_rng(int(gamma * 100)).uniform(0.0, 1.0, (2, 1000))
-        factors = _swap_factors(gamma)
-        assert np.abs(_helper_objective(factors, lam, mu)
-                      - _helper_objective(factors, 1 - lam, 1 - mu)).max() <= 1e-14
+        factors = swap_factors(gamma)
+        assert np.abs(helper_objective(factors, lam, mu)
+                      - helper_objective(factors, 1 - lam, 1 - mu)).max() <= 1e-14
 
     @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.64, 0.7, 0.9])
     def test_hessian_matches_central_differences(self, gamma):
-        h, factors = 1e-4, _swap_factors(gamma)
+        h, factors = 1e-4, swap_factors(gamma)
 
         def f(dl, dm):
-            return float(_helper_objective(factors, 0.5 + dl * h, 0.5 + dm * h))
+            return float(helper_objective(factors, 0.5 + dl * h, 0.5 + dm * h))
 
         fd = np.array([[f(1, 0) - 2 * f(0, 0) + f(-1, 0),
                         (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / 4],
@@ -1410,9 +1412,9 @@ SEARCHED_DIAGNOSTICS = (
 
 
 def helper_slopes(xp, factors, lam, mu):
-    """(f_lam, f_lamlam, f_mu) of the entangled-helper objective at :func:`_swap_factors`."""
-    f_l, f_ll, f_mu = _helper_slopes(xp, float(factors[0]), float(factors[1]), mu)(lam)
-    return f_l, f_ll, f_mu()
+    """(f_lam, f_lamlam, f_mu, f) of the entangled-helper objective at :func:`swap_factors`."""
+    f_l, f_ll, f_mu, f = _helper_slopes(xp, float(factors[0]), float(factors[1]), mu)(lam)
+    return f_l, f_ll, f_mu(), f()
 
 
 class TestHelperNested:
@@ -1421,10 +1423,10 @@ class TestHelperNested:
 
     @pytest.mark.parametrize("gamma", [0.65, 0.7, 0.76, 0.9])
     def test_slopes_match_central_differences(self, gamma):
-        factors = _swap_factors(gamma)
+        factors = swap_factors(gamma)
 
         def f(lam, mu):  # in nats, as the slopes are
-            return float(_helper_objective(factors, lam, mu)) * math.log(2)
+            return float(helper_objective(factors, lam, mu)) * math.log(2)
 
         for lam, mu in [(0.3, 0.2), (0.52, 1e-3), (0.9, 0.45), (0.1, 0.7), (0.5, 0.5)]:
             h, hm = 1e-5, min(1e-5, mu / 1000)
@@ -1432,7 +1434,7 @@ class TestHelperNested:
                   (f(lam + 10 * h, mu) - 2 * f(lam, mu) + f(lam - 10 * h, mu)) / (10 * h) ** 2,
                   (f(lam, mu + hm) - f(lam, mu - hm)) / (2 * hm))
             got = helper_slopes(math, factors, lam, mu)
-            assert np.abs(np.subtract(got, fd)).max() <= 1e-6, (lam, mu)
+            assert np.abs(np.subtract(got[:3], fd)).max() <= 1e-6, (lam, mu)
             stacked = helper_slopes(np, factors, np.array([lam]), np.array([mu]))
             assert np.allclose(np.ravel(stacked), got, rtol=1e-13, atol=1e-15)
 
@@ -1440,7 +1442,7 @@ class TestHelperNested:
         lam = np.linspace(0.0, 1.0, 401)[:, None]
         mu = np.concatenate([_helper_scan(64), np.linspace(0.0, 1.0, 101)])
         for gamma in SEARCHED_GAMMAS:
-            f = _helper_objective(_swap_factors(gamma), lam, mu)
+            f = helper_objective(swap_factors(gamma), lam, mu)
             assert (f[2:] - 2 * f[1:-1] + f[:-2]).max() <= 1e-9, gamma
 
     @pytest.mark.parametrize("gamma", [0.65, 0.7, 0.75])
@@ -1448,7 +1450,7 @@ class TestHelperNested:
         lam = np.linspace(0.0, 1.0, 401)[:, None]
         edge = np.geomspace(1e-9, 1e-2, 101)
         mu = np.concatenate([edge, np.linspace(0.0, 1.0, 401), 1 - edge])
-        grid = _helper_objective(_swap_factors(gamma), lam, mu).max()
+        grid = helper_objective(swap_factors(gamma), lam, mu).max()
         res = swap_power_helper_capacity(gamma)
         assert res.diagnostics["raw_value"] >= grid
         assert res.diagnostics["mu"] <= 0.5  # the mirror half
@@ -1459,22 +1461,43 @@ class TestHelperNested:
         # score best: the refinement still finds the peak
         for gamma in GAMMA_C + np.linspace(1e-7, 3e-6, 30):
             d = swap_power_helper_capacity(gamma).diagnostics
-            centre = float(_helper_objective(_swap_factors(gamma), 0.5, 0.5))
+            centre = float(helper_objective(swap_factors(gamma), 0.5, 0.5))
             assert d["restarts"] == d["converged"] == 1, gamma
             assert d["mu"] < 0.5 and d["raw_value"] > centre, gamma
 
     def test_edges_stay_finite(self):
         # the iterates stay inside (0, 1): no log(0) warning, which pytest makes an error
         for gamma in (GAMMA_C + 1e-12, GAMMA_C + 1e-6, 0.9999, 1 - 1e-12, 1.0, 3.0):
-            centre = float(_helper_objective(_swap_factors(gamma), 0.5, 0.5))
+            centre = float(helper_objective(swap_factors(gamma), 0.5, 0.5))
             for grid in (2, 3, 8, 257):
                 d = swap_power_helper_capacity(gamma, OptimizerOptions(grid=grid)).diagnostics
                 assert d["raw_value"] >= max(0.0, centre)
                 assert 0.0 < d["lam"] < 1.0 and 0.0 <= d["mu"] <= 0.5
+        # the slopes and the value, at extreme factors and lam
         for lam in (1e-30, 0.5, 1 - 2 ** -53):
             for mu in (1e-12, 0.5):
                 assert np.isfinite(helper_slopes(math, (1e-33, 1.0), lam, mu)).all()
                 assert np.isfinite(helper_slopes(math, (0.3, 0.7), lam, mu)).all()
+        # the value is the oracle's objective on the open square
+        lam, mu = np.meshgrid(*[np.linspace(0.0, 1.0, 65)[1:-1]] * 2, indexing="ij")
+        for gamma in (GAMMA_C, 0.7, 0.8, 0.9, 1.0):
+            factors = swap_factors(gamma)
+            got = helper_slopes(np, factors, lam, mu)[3]
+            assert np.abs(got - helper_objective(factors, lam, mu)).max() <= 1e-14, gamma
+
+    def test_value_matches_decimal(self):
+        # at every scan point of the searched eh_swap rows and at each refined point
+        mus = _helper_scan(64)
+        for gamma in SEARCHED_GAMMAS:
+            c, s = float(np.cos(PI * gamma / 2) ** 2), float(np.sin(PI * gamma / 2) ** 2)
+            lams, _, vals, _ = _helper_inner(c, s, mus)
+            points = list(zip(lams.tolist(), mus.tolist(), vals.tolist()))
+            d = swap_power_helper_capacity(gamma).diagnostics
+            if d["restarts"]:  # the refined point scores best
+                assert d["restart_values"] == [d["raw_value"]], gamma
+                points.append((d["lam"], d["mu"], d["raw_value"]))
+            for lam, mu, got in points:
+                assert abs(got - helper_value_by_decimal(c, s, lam, mu)) <= 2e-15, (gamma, mu)
 
     def test_frozen_diagnostics(self):
         for gamma, (nfev, restarts, converged, lam, mu, raw) in zip(SEARCHED_GAMMAS,

@@ -185,9 +185,10 @@ class TestUniversal:
             count += 1
 
 
-    @pytest.mark.parametrize("grid", [0, 1])
+    @pytest.mark.parametrize("grid", [0, 1, 2.5, 8.0])
     def test_grid_without_two_points_rejected(self, grid):
-        # grid 0 would scan no state, and every state of an empty scan passes
+        # grid 0 would scan no state, and every state of an empty scan passes; a
+        # float grid, even a whole one, is rejected as OptimizerOptions rejects it
         with pytest.raises(ValueError, match="grid"):
             is_universally_antidegradable(CNOT, grid)
         with pytest.raises(ValueError, match="grid"):
