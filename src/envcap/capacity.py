@@ -23,8 +23,8 @@ this module provides:
   closed-form objective over the helper's Schmidt weight and the input:
   its centre in closed form below gamma_c = 0.642893..., where the centre
   stops being a maximum, and nested 1-d maxima from there on: over the
-  helper weight by Newton, over the input weight by a scan and a secant,
-  the objective's value and slopes taken from one set of closed-form terms.
+  helper weight by Newton, over the input weight by Illinois steps on one
+  bracket, the objective's value and slopes taken from one set of closed-form terms.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ class OptimizerOptions:
     ``restarts``, ``tol`` and ``max_iters`` drive the Nelder-Mead searches of
     :func:`max_coherent_info` (behind :func:`jammer_value`'s upper end too) and of the
     generic branch of :func:`separable_helper_capacity`, which allows 4 * ``max_iters``
-    iterations.  ``grid`` is the side of that branch's (theta, phi) sphere and the number
-    of input weights :func:`swap_power_helper_capacity` scans past gamma_c, where
-    ``max_iters`` caps the steps of its refinement.  :func:`_symmetric_helper_capacity`
-    reads none.  A count below 1 (``grid`` below 2), or a ``tol`` that is not finite and
-    positive, raises ``ValueError``.
+    iterations; ``grid`` is the side of that branch's (theta, phi) sphere.
+    :func:`swap_power_helper_capacity` reads only ``max_iters``, the cap on the steps of its
+    refinement past gamma_c, and :func:`_symmetric_helper_capacity` reads none.  A count
+    that is not an integer or is below 1 (``grid`` below 2), or a ``tol`` that is not a
+    finite positive real, raises ``ValueError``; bools are neither.
     """
     restarts: int = 8
     grid: int = 64
@@ -99,8 +99,8 @@ class OptimizerOptions:
         check_count("restarts", self.restarts, 1)
         check_count("grid", self.grid, 2)
         check_count("max_iters", self.max_iters, 1)
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+        if isinstance(self.tol, (bool, np.bool_)) or not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, not {self.tol!r}")
 
 
 @dataclass
@@ -318,7 +318,7 @@ def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
                 - p * (math.log1p(-p * q) - (math.log(p) if p else 0.0) - math.log(q)),
                 p * p / (1 - p * q) - (1 - p) ** 2 / (1 - q + p * q) - (1 - 2 * p) / q)
 
-    q, (slope, _), _ = _newton_root(slopes, 0.5, 0.0, 0.0)
+    q, (slope, _), _ = _newton_root(slopes, 0.5)
     h = entropy_terms(np.array([(1 - p) * q, 1 - q + p * q, p * q, 1 - p * q]))
     raw = float(h[0] + h[1] - (h[2] + h[3]))
     value = max(0.0, raw)
@@ -534,17 +534,17 @@ def find_zero_crossing(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-#: Step cap of the Newton loops.  The entangled helper's inner one stops at a 1e-10 step in
-#: lam or at f_lam at round-off (1e-14, about 1e-16 whatever the scale of the objective).
+#: Step cap of :func:`_newton_root`, far above the 10 calls of the swap powers' qh roots and
+#: the 17 of their qeh roots (largest seen on 1,001 gammas).
 _NEWTON_STEPS = 100
 
 
-def _newton_root(slopes, x, step_tol, slope_tol):
+def _newton_root(slopes, x):
     """Maximum on (0, 1) of a concave function: the root of its slope g by Newton from ``x``,
     ``slopes(x)`` = (g, g', ...), with g > 0 near 0 and g <= 0 near 1.  Steps go in logit(x),
     at most 8; one leaving the bracket bisects it, one below float resolution moves x a float,
-    so a one-sided approach closes the bracket.  Stops at a step <= ``step_tol``, |g| <=
-    ``slope_tol`` or a float-resolution bracket; returns (x, slopes(x), calls)."""
+    so a one-sided approach closes the bracket.  Stops at g == 0 or a float-resolution
+    bracket; returns (x, slopes(x), calls)."""
     lo, hi = 0.0, 1.0
     for calls in range(1, _NEWTON_STEPS + 1):
         at = slopes(x)
@@ -553,7 +553,7 @@ def _newton_root(slopes, x, step_tol, slope_tol):
         step = g / h if newton else 0.0
         lo, hi = (x, hi) if g > 0 else (lo, x)
         mid = (lo + hi) / 2
-        if newton and abs(step) <= step_tol or abs(g) <= slope_tol or not lo < mid < hi:
+        if g == 0 or not lo < mid < hi:
             break
         y = x / (x + (1 - x) * math.exp(max(-8.0, min(8.0, step / (x * (1 - x))))))
         if y == x:
@@ -566,11 +566,11 @@ def _newton_root(slopes, x, step_tol, slope_tol):
 # entangled helper
 # ---------------------------------------------------------------------------
 
-def _helper_slopes(xp, stay, hop, mu):
+def _helper_slopes(stay, hop, mu):
     """lam -> (f_lam, f_lamlam, f_mu, f) of the entangled-helper objective f = S(rho_hb) - S(rho_f)
     at 0 < mu < 1, c = ``stay`` = cos^2(pi gamma / 2), s = ``hop`` = sin^2: slopes in nats, no
-    floor, f_mu and f (bits, through :func:`entropy_terms`) as functions of no arguments; ``xp``
-    is numpy or math.  The spectra are w+-, lam (1 - mu) c, (1 - lam) mu c and f0 = mu s + lam c,
+    floor, f_mu and f (bits, through :func:`entropy_terms`) as functions of no arguments.
+    The spectra are w+-, lam (1 - mu) c, (1 - lam) mu c and f0 = mu s + lam c,
     1 - f0, with w+ = half + r from p00 = lam (s + mu c), p11 = (1 - lam)(1 - mu c) and
     r = sqrt(d^2 + lam (1 - lam) |z|^2), d = (p00 - p11) / 2, |z|^2 = s^2 + (1 - 2mu)^2 s c;
     w- = lam (1 - lam) mu (1 - mu) c (1 + 3s) / w+ is free of half - r's cancellation.  Terms in
@@ -585,14 +585,14 @@ def _helper_slopes(xp, stay, hop, mu):
         lam1, tilt = 1 - lam, 1 - 2 * lam
         ll, p11 = lam * lam1, lam1 * b
         d = (lam * a - p11) / 2  # (p00 - p11) / 2
-        r = xp.sqrt(d * d + ll * zz)
+        r = math.sqrt(d * d + ll * zz)
         wp = d + p11 + r
         wm = ll * mu * mu1 * c * (1 + 3 * s) / wp
         p01, p10 = lam * mu1 * c, lam1 * mu * c
         f0 = mus + lam * c
         f1 = 1 - f0
-        lp, lm, lf = xp.log(wp), xp.log(wm), xp.log(f0 / f1)
-        l01, l10 = xp.log(p01), xp.log(p10)
+        lp, lm, lf = math.log(wp), math.log(wm), math.log(f0 / f1)
+        l01, l10 = math.log(p01), math.log(p10)
         rl = ((1 + s) / 2 * d + tilt * zz / 2) / r
         wp_l = wp_l0 + rl
         q = tilt / ll - wp_l / wp  # d ln w- / d lam
@@ -613,54 +613,21 @@ def _helper_slopes(xp, stay, hop, mu):
     return at
 
 
-def _helper_inner(stay, hop, mu):
-    """max over lam at each mu of a stack: (lam*, f_mu and f there, calls).  The objective
-    is concave in lam (measured, not proved): :func:`_newton_root`'s steps from lam = 1/2,
-    stacked, with f_mu and f taken at the end.  Each lane stops once converged or at a
-    float-resolution bracket, so lam stays inside (0, 1)."""
-    slopes = _helper_slopes(np, stay, hop, mu)
-    lam, lo, hi = np.full_like(mu, 0.5), np.zeros_like(mu), np.ones_like(mu)
-    for calls in range(1, _NEWTON_STEPS + 1):
-        g, h, f_mu, f = slopes(lam)
-        newton = h < 0
-        step = g / np.where(newton, h, -1.0)
-        up = g > 0
-        lo, hi = np.where(up, lam, lo), np.where(up, hi, lam)
-        mid = (lo + hi) / 2
-        done = newton & (np.abs(step) <= 1e-10) | (np.abs(g) <= 1e-14) | (mid <= lo) | (mid >= hi)
-        if done.all():
-            break
-        lam1 = 1 - lam
-        x = lam / (lam + lam1 * np.exp(np.minimum(np.maximum(step / (lam * lam1), -8.0), 8.0)))
-        lam = np.where(done, lam, np.where(newton & (lo < x) & (x < hi), x, mid))
-    return lam, f_mu(), f(), calls * mu.size
-
-
-@cache
-def _helper_scan(n):
-    """The outer scan's n input weights in (0, 1/2], read-only: 3n/8 geometric ones from
-    1e-12, where the maximum sits past gamma = 0.76, then linear ones from 1e-2 to 1/2."""
-    k = 3 * n // 8
-    mus = np.concatenate([np.geomspace(1e-12, 1e-2, k, endpoint=False),
-                          np.linspace(1e-2, 0.5, n - k)])
-    mus.setflags(write=False)
-    return mus
-
-
-def _helper_peak(stay, hop, lo, hi, lam, max_iters):
+def _helper_peak(stay, hop, lo, lam, max_iters):
     """Root of the envelope slope F'(mu) = f_mu(lam*(mu), mu) between ``lo`` = (mu, F'(mu))
-    with F' > 0 and ``hi`` with F' <= 0, by Illinois steps (regula falsi that halves the
-    value of an end kept twice) in ln mu, bisecting where a step leaves the bracket, to
-    1e-12 in ln mu or ``max_iters`` steps; each step warm-starts the inner :func:`_newton_root`.
-    Returns (lam, mu, f, calls, converged) at the last step."""
-    (t0, s0), (t1, s1) = (math.log(lo[0]), lo[1]), (math.log(hi[0]), hi[1])
+    with F' > 0 and the centre mu = 1/2, where F' = 0 by symmetry, by Illinois steps (regula
+    falsi that halves the value of an end kept twice) in ln mu.  The steps bisect while the
+    upper end is the centre, from which regula falsi would only return the centre, and where
+    a step leaves the bracket; they stop at 1e-12 in ln mu or after ``max_iters``.  lam*(mu)
+    is the root of f_lam by :func:`_newton_root`, warm-started from ``lam`` and then from the
+    last step's.  Returns (lam, mu, f, calls, converged) at the last step."""
+    (t0, s0), (t1, s1) = (math.log(lo[0]), lo[1]), (math.log(0.5), 0.0)
     kept, calls = 0, 0
     for _ in range(max_iters):
         t = t0 - s0 * (t1 - t0) / (s1 - s0)
-        if not t0 < t < t1:
+        if not s1 or not t0 < t < t1:  # s1 = 0: the centre, t = t1 up to round-off
             t = (t0 + t1) / 2
-        slopes = _helper_slopes(math, stay, hop, math.exp(t))  # lam*(mu) as in _helper_inner
-        lam, (_, _, f_mu, f), n = _newton_root(slopes, lam, 1e-10, 1e-14)
+        lam, (_, _, f_mu, f), n = _newton_root(_helper_slopes(stay, hop, math.exp(t)), lam)
         st, calls = f_mu(), calls + n
         if st > 0:
             t0, s0, s1 = t, st, s1 / 2 if kept > 0 else s1
@@ -709,15 +676,16 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
 
     From s_c on, the optimum splits into a mirror pair that moves to the mu
     corners, and the function takes nested 1-d maxima on the half mu <= 1/2
-    (mu = 0, a pure input, scores exactly 0).  At each of ``opts.grid`` scanned
-    input weights (:func:`_helper_scan`) the maximum over lam is the root of the
-    closed-form f_lam by Newton (:func:`_helper_inner`); the envelope
-    F(mu) = max_lam f is estimated there, and its slope is f_mu at that lam.  The
-    scan interval next to the best point whose slopes change sign is refined by
-    :func:`_helper_peak`, at most ``opts.max_iters`` steps; ``opts.restarts`` and
-    ``opts.tol`` are unused.  The value is the objective from its slopes' own terms
-    at the best of the pure input, the scan and the refined point: an estimate with
-    the scan's resolution, its inner maximum resting on measured concavity in lam.
+    (mu = 0, a pure input, scores exactly 0).  At each input weight the maximum
+    over lam is the root of the closed-form f_lam by :func:`_newton_root`, to float
+    resolution, and the envelope F(mu) = max_lam f has the slope f_mu there.  F' is
+    taken at mu = 1e-12 and is 0 at the centre by symmetry; where it is positive at
+    1e-12, :func:`_helper_peak` refines its root on that bracket, at most
+    ``opts.max_iters`` steps.  That F' changes sign once on (0, 1/2) is measured, not
+    proved.  ``opts.grid``, ``opts.restarts`` and ``opts.tol`` are unused.  The value
+    is the best of the pure input, the centre in closed form and the refined point,
+    the last from the objective's slopes' own terms: an estimate, its inner maximum
+    resting on measured concavity in lam, and a peak below mu = 1e-12 reads as 0.
     The restart record counts the refinement as one run, and ``nfev`` the slope
     evaluations and the values taken, one call each.  On both
     branches values at or below the resolution floor are reported as exactly
@@ -727,30 +695,25 @@ def swap_power_helper_capacity(gamma: float, opts: OptimizerOptions | None = Non
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
     s = float(np.sin(np.pi * gamma / 2) ** 2)
+    centre = float(entropy_terms(np.array([1 + 3 * s, 1 - s, 1 - s, 1 - s]) / 4).sum() - 1)
     if s < _symmetric_branch_end():
-        lam = mu = 0.5
-        raw = float(entropy_terms(np.array([1 + 3 * s, 1 - s, 1 - s, 1 - s]) / 4).sum() - 1)
+        raw, lam, mu = centre, 0.5, 0.5
         # at s = 0 the objective is h(mu) whatever lam is: the Hessian is singular
         diag = {"curvature": float(_centre_curvature(s)) if s else 0.0, **_record([], 0, 0)}
     else:
         opts = opts or OptimizerOptions()
         stay = float(np.cos(np.pi * gamma / 2) ** 2)
-        mus = _helper_scan(opts.grid)
-        lams, slopes, vals, nfev = _helper_inner(stay, s, mus)
-        slopes[-1] = 0.0  # mu = 1/2: the centre is stationary
-        i = int(np.argmax(vals))
-        best = [(0.0, 0.5, 0.0), (float(vals[i]), float(lams[i]), float(mus[i]))]
-        j = i if slopes[i] > 0 else i - 1  # the scan interval the peak next to i lies in
+        lam, (_, _, f_mu, _), nfev = _newton_root(_helper_slopes(stay, s, 1e-12), 0.5)
+        slope = f_mu()
+        best = [(0.0, 0.5, 0.0), (centre, 0.5, 0.5)]
         runs, converged = [], 0
-        if 0 <= j < mus.size - 1 and slopes[j] > 0 >= slopes[j + 1]:
-            lam, mu, f, calls, ok = _helper_peak(stay, s, (float(mus[j]), float(slopes[j])),
-                                                 (float(mus[j + 1]), float(slopes[j + 1])),
-                                                 float(lams[i]), opts.max_iters)
+        if slope > 0:  # the peak lies in (1e-12, 1/2)
+            lam, mu, f, calls, ok = _helper_peak(stay, s, (1e-12, slope), lam, opts.max_iters)
             runs, converged = [f], int(ok)
             best.append((f, lam, mu))
             nfev += calls + 1
         raw, lam, mu = max(best, key=lambda b: b[0])  # the first of equal values
-        diag = {"grid": opts.grid, **_record(runs, nfev + mus.size, converged)}
+        diag = _record(runs, nfev, converged)
     value = raw if raw > HELPER_CAPACITY_FLOOR else 0.0
     kappa = np.zeros(4, complex)
     kappa[0], kappa[3] = np.sqrt(lam), np.sqrt(1 - lam)

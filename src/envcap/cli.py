@@ -4,7 +4,7 @@ Usage::
 
     envcap <experiment> [--grid N] [--tol X] [--params a,b,c]
            [--out PATH] [--format csv|json] [--no-timestamp] [--config FILE]
-    envcap locate <a1|eh_swap> [--bracket LO HI] [--tol X] [--grid N] ...
+    envcap locate <a1|eh_swap> [--bracket LO HI] [--tol X] ...
 
 Experiments write a CSV table (or one JSON object per row) that is
 byte-identical across runs for identical configuration; the timestamp

@@ -263,7 +263,7 @@ COMMANDS = {
     "jammer": Command(_jammer_rows, _OUTPUT | {"params"}),
     "locate a1": Command(_locate_a1, frozenset({"bracket", "tol"}),
                          tol=1e-5, bracket=(0.5, 1.0)),
-    "locate eh_swap": Command(_locate_eh_swap, frozenset({"grid", "bracket", "tol"}),
+    "locate eh_swap": Command(_locate_eh_swap, frozenset({"bracket", "tol"}),
                               tol=1e-4, bracket=(0.5, 1.0)),
 }
 EXPERIMENTS = tuple(name for name in COMMANDS if not name.startswith("locate "))

@@ -42,8 +42,8 @@ def check_unitary(u) -> np.ndarray:
 
 def check_count(name: str, value, least: int) -> None:
     """Reject ``value`` with ``ValueError`` unless it is an integer, numpy's included,
-    of at least ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    of at least ``least``.  A bool, Python's or numpy's, is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")

@@ -21,8 +21,10 @@ helpers that only tests need:
   lower eigenvalue of rho_hb as half - r (:func:`helper_objective`), its
   entangled-helper capacity by
   grid-and-simplex search over (lam, mu) at every gamma
-  (:func:`swap_power_helper_by_search`) and the Hessian of its objective
-  at the centre of the (lam, mu) square (:func:`centre_hessian`);
+  (:func:`swap_power_helper_by_search`), its envelope over lam at given input
+  weights (:func:`helper_envelope`) on a 64-point scan of the input weight
+  (:func:`helper_scan`), and the Hessian of its objective at the centre of the
+  (lam, mu) square (:func:`centre_hessian`);
 * Kraus-list operations: :func:`apply_channel`,
   :func:`complement_channel`, :func:`choi_state`,
   :func:`channel_reduction_b`, and the Choi-spectrum
@@ -71,7 +73,9 @@ from envcap.capacity import (
     HELPER_CAPACITY_FLOOR,
     CapacityResult,
     OptimizerOptions,
+    _helper_slopes,
     _maximize,
+    _newton_root,
     coherent_info,
 )
 from envcap.channels import (
@@ -319,6 +323,28 @@ def swap_power_helper_by_search(gamma: float, opts: OptimizerOptions | None = No
         diagnostics={"raw_value": float(raw), "lam": lam, "mu": mu,
                      "grid": n, "floor": HELPER_CAPACITY_FLOOR, **record},
     )
+
+
+def helper_envelope(gamma: float, mus):
+    """lam*(mu), the envelope slope F'(mu) = f_mu there and F(mu) = f in bits at each input
+    weight in ``mus``, past gamma_c: lam*(mu) is the root of f_lam by the library's
+    :func:`_newton_root`, started from lam = 1/2 at the first weight and from the last root
+    after it.  Returns three arrays."""
+    c, s = float(np.cos(np.pi * gamma / 2) ** 2), float(np.sin(np.pi * gamma / 2) ** 2)
+    lam, out = 0.5, []
+    for mu in np.asarray(mus, dtype=float).tolist():
+        lam, (_, _, f_mu, f), _ = _newton_root(_helper_slopes(c, s, mu), lam)
+        out.append((lam, f_mu(), float(f())))
+    return tuple(np.array(col) for col in zip(*out))
+
+
+def helper_scan(n: int = 64) -> np.ndarray:
+    """n input weights in (0, 1/2] for a scan of the entangled helper's envelope past
+    gamma_c, a floor for the library's bracketed maximum: 3n/8 geometric ones from
+    1e-12, where the maximum sits past gamma = 0.76, then linear ones from 1e-2 to 1/2."""
+    k = 3 * n // 8
+    return np.concatenate([np.geomspace(1e-12, 1e-2, k, endpoint=False),
+                           np.linspace(1e-2, 0.5, n - k)])
 
 
 def centre_hessian(s):

@@ -61,7 +61,7 @@ def test_criterion_1_gamma_star(capsys):
 
 def test_criterion_2_gamma_double_star(capsys):
     start = time.monotonic()
-    rc = main(["locate", "eh_swap", "--grid", "65"])
+    rc = main(["locate", "eh_swap"])
     elapsed = time.monotonic() - start
     out = capsys.readouterr().out
     root = float(out.strip().splitlines()[-1])

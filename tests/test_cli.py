@@ -87,7 +87,8 @@ class TestLocate:
         assert (rc, out) == (EXIT_BAD_CONFIG, "")
 
     def test_grid_below_two_rejected(self, capsys):
-        rc, out, err = run_cli(["locate", "eh_swap", "--grid", "1"], capsys)
+        # locate reads no grid: eh_swap, which does, rejects one below 2
+        rc, out, err = run_cli(["eh_swap", "--grid", "1"], capsys)
         assert (rc, out) == (EXIT_BAD_CONFIG, "")
         assert "grid" in err
 
@@ -299,9 +300,8 @@ QUICK = {
     "jammer": (["--params", "0.3,0.2,0.1"], {"params": ["--params", "0,0,0"]}),
     "locate a1": (["--bracket", "0.5", "1.0", "--tol", "1e-5"],
                   {"bracket": ["--bracket", "0.8", "0.9"], "tol": ["--tol", "0.01"]}),
-    "locate eh_swap": (["--grid", "3", "--bracket", "0.5", "1.0", "--tol", "1e-4"],
-                       {"grid": ["--grid", "2"], "bracket": ["--bracket", "0.8", "0.9"],
-                        "tol": ["--tol", "0.01"]}),
+    "locate eh_swap": (["--bracket", "0.5", "1.0", "--tol", "1e-4"],
+                       {"bracket": ["--bracket", "0.8", "0.9"], "tol": ["--tol", "0.01"]}),
 }
 
 
