@@ -35,9 +35,9 @@ from functools import cache
 
 import numpy as np
 
+from .canonical import SWAP
 from .channels import BipartiteUnitary, KrausChannel, as_two_qubit, effective_channel
 from .degradability import (
-    _PAULI,
     SYMMETRIC_TOL,
     batch_degradability_index,
     batch_effective_kraus,
@@ -87,8 +87,9 @@ class OptimizerOptions:
     iterations; ``grid`` is the side of that branch's (theta, phi) sphere.
     :func:`swap_power_helper_capacity` reads only ``max_iters``, the cap on the steps of its
     refinement past gamma_c, and :func:`_symmetric_helper_capacity` reads none.  A count
-    that is not an integer or is below 1 (``grid`` below 2), or a ``tol`` that is not a
-    finite positive real, raises ``ValueError``; bools are neither.
+    that is not an integer or is below 1 (``grid`` below 3: grid 2 holds only the poles |0>
+    and |1>), or a ``tol`` that is not a finite positive real, raises ``ValueError``; bools
+    are neither.
     """
     restarts: int = 8
     grid: int = 64
@@ -97,7 +98,7 @@ class OptimizerOptions:
 
     def __post_init__(self):
         check_count("restarts", self.restarts, 1)
-        check_count("grid", self.grid, 2)
+        check_count("grid", self.grid, 3)
         check_count("max_iters", self.max_iters, 1)
         if isinstance(self.tol, (bool, np.bool_)) or not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, not {self.tol!r}")
@@ -180,11 +181,10 @@ def minimize(f, starts, step, tol, maxiter) -> Simplex:
     Each simplex is its row and the row plus ``step`` along every axis; it
     takes scipy's steps (rho = 1, chi = 2, psi = sigma = 1/2) and stops when
     its vertices lie within ``tol`` of the best and their values within
-    ``tol / 100``, or after ``maxiter`` iterations or ``2 * maxiter`` calls.
-    An iteration evaluates the four trial points of every live simplex in
-    one call and shrinks in a second, but counts only the points a lone run
-    evaluates, so a restart does not depend on its batch.  Unlike scipy,
-    the first simplex is evaluated whole even past ``2 * maxiter`` calls.
+    ``tol / 100``, or after ``maxiter`` iterations.  An iteration evaluates
+    the four trial points of every live simplex in one call and shrinks in
+    a second, but counts only the points a lone run evaluates, so a restart
+    does not depend on its batch.
     """
     x0 = np.asarray(starts, dtype=float)
     b, d = x0.shape
@@ -196,10 +196,9 @@ def minimize(f, starts, step, tol, maxiter) -> Simplex:
         order = np.argsort(fs, axis=1, kind="stable")
         lane = np.arange(idx.size)[:, None]
         s, fs = s[lane, order], fs[lane, order]
-        more = (calls < 2 * maxiter) & (iters < maxiter)
-        conv = more & (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= tol) \
-            & (np.abs(fs[:, 1:] - fs[:, :1]).max(axis=1) <= tol * 1e-2)
-        stop = conv | ~more
+        conv = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= tol) \
+            & (np.abs(fs[:, 1:] - fs[:, :1]).max(axis=1) <= tol * 1e-2) & (iters < maxiter)
+        stop = conv | (iters >= maxiter)
         if stop.any():
             j = idx[stop]
             x[j], fun[j], n[j], ok[j] = s[stop, 0], fs[stop, 0], calls[stop], conv[stop]
@@ -216,16 +215,13 @@ def minimize(f, starts, step, tol, maxiter) -> Simplex:
         # the trial point that replaces the worst vertex, or -1 to shrink
         pick = np.where(contract & (fr < fs[:, -1]), np.where(fc <= fr, 2, -1),
                         np.where(contract, np.where(fcc < fs[:, -1], 3, -1), expand & (fe < fr)))
-        budget = 2 * maxiter - calls
-        cut = ~mid & (budget < 2)  # no call left for the second point: no step
-        r = np.flatnonzero((pick >= 0) & ~cut)
+        r = np.flatnonzero(pick >= 0)
         s[r, -1], fs[r, -1] = trial[r, pick[r]], ft[r, pick[r]]
-        shrunk = np.where((pick < 0) & ~cut, np.minimum(d, budget - 2), 0)
-        if shrunk.any():  # towards the best vertex, as far as the calls left go
-            todo = np.arange(1, d + 1) <= shrunk[:, None]
-            pts = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
-            s[:, 1:][todo], fs[:, 1:][todo] = pts[todo], f(pts[todo])
-        calls += np.where(cut, 1, 1 + ~mid + shrunk)
+        shrink = pick < 0
+        if shrink.any():  # towards the best vertex
+            pts = s[shrink, :1] + 0.5 * (s[shrink, 1:] - s[shrink, :1])
+            s[shrink, 1:], fs[shrink, 1:] = pts, f(pts.reshape(-1, d)).reshape(-1, d)
+        calls += 1 + ~mid + d * shrink
         iters += 1
 
 
@@ -279,17 +275,14 @@ def max_coherent_info(c: KrausChannel, opts: OptimizerOptions | None = None) -> 
 # separable-helper capacity of a two-qubit gate
 # ---------------------------------------------------------------------------
 
-#: The collective generators sigma_i (x) I + I (x) sigma_i, i = x, y, z, stacked.
-_COLLECTIVE = np.array([np.kron(s, np.eye(2)) + np.kron(np.eye(2), s) for s in _PAULI[1:]])
-
 _KET0 = np.array([1, 0], dtype=complex)
 
 
 def _swap_symmetric(v: BipartiteUnitary) -> bool:
-    """Whether ``v`` commutes with every u (x) u: with the three collective
-    generators to 1e-12.  Swap powers and the gates (a, a, a) do."""
+    """Whether ``v`` commutes with every u (x) u: whether it is aI + bSWAP, the gates that do,
+    with a = V[1, 1] and b = V[1, 2], to 1e-12.  Swap powers and the gates (a, a, a) are."""
     m = v.matrix
-    return bool(np.abs(m @ _COLLECTIVE - _COLLECTIVE @ m).max() <= 1e-12)
+    return bool(np.abs(m - m[1, 1] * np.eye(4) - m[1, 2] * SWAP).max() <= 1e-12)
 
 
 def _symmetric_helper_capacity(v: BipartiteUnitary) -> CapacityResult:
@@ -343,15 +336,12 @@ def separable_helper_capacity(v, opts: OptimizerOptions | None = None) -> Capaci
     input states, and the best cells seed a joint simplex refinement
     over (theta, phi, Bloch vector).  The result is clamped at zero (the
     zero rate is always achievable); the raw optimum stays available in
-    the diagnostics.  ``opts.grid`` below 3 is rejected on both paths.
+    the diagnostics.  Only the search reads ``opts``.
     """
-    opts = opts or OptimizerOptions()
-    if opts.grid < 3:
-        raise ValueError("the separable helper needs grid >= 3: "
-                         "grid 2 holds only the poles |0> and |1>")
     v = as_two_qubit(v)
     if _swap_symmetric(v):
         return _symmetric_helper_capacity(v)
+    opts = opts or OptimizerOptions()
     etas, thetas, phis = bloch_sphere_grid(opts.grid, opts.grid)
     idx = batch_degradability_index(v, etas)
     mask = idx > SYMMETRIC_TOL

@@ -70,6 +70,13 @@ def as_two_qubit(v) -> BipartiteUnitary:
     return v if isinstance(v, BipartiteUnitary) else BipartiteUnitary(v)
 
 
+def check_environment(etas: np.ndarray) -> np.ndarray:
+    """``etas``, whose last axis must hold the environment qubit: ``ValueError`` otherwise."""
+    if etas.shape[-1] != 2:
+        raise ValueError(f"environment state dimension {etas.shape[-1]} != 2")
+    return etas
+
+
 def effective_channel(v, eta) -> KrausChannel:
     """Channel A -> B obtained by feeding ``eta`` into the environment slot.
 
@@ -86,9 +93,7 @@ def effective_channel(v, eta) -> KrausChannel:
         w, u = np.linalg.eigh(check_density_matrix(eta))
         keep = [j for j in np.argsort(w)[::-1] if w[j] > KRAUS_WEIGHT_FLOOR]
         w, vecs = w[keep], u[:, keep].T
-    if vecs.shape[1] != 2:
-        raise ValueError(f"environment state dimension {vecs.shape[1]} != 2")
-    ops = np.einsum("bfae,je->jfba", v.matrix.reshape(2, 2, 2, 2), vecs)
+    ops = np.einsum("bfae,je->jfba", v.matrix.reshape(2, 2, 2, 2), check_environment(vecs))
     return KrausChannel((np.sqrt(w)[:, None, None, None] * ops).reshape(-1, 2, 2))
 
 

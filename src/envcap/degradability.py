@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, normal_form_stack
+from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, check_environment, normal_form_stack
 from .linalg import bloch_state, check_count, check_state_vector, in_chunks
 
 #: |index| at or below this classifies as symmetric.  The index is a
@@ -73,7 +73,7 @@ def degradability_index(v, eta) -> float:
     a unitary conjugation; its complement is constant, so the index is
     defined as +1.
     """
-    eta = check_state_vector(eta)
+    eta = check_environment(check_state_vector(eta))
     if eta.ndim != 1:
         raise ValueError(f"expected one state vector, got shape {eta.shape}")
     return float(_normal_form_index(v, eta[None])[0])
@@ -91,7 +91,7 @@ def _classify(v, etas, tags) -> tuple[list, list]:
 def classify_envs(v, etas: np.ndarray) -> list[Classification]:
     """Classify the channels induced by pure environment states (n, 2) by
     :func:`degradability_index`; ``|index| <= SYMMETRIC_TOL`` is symmetric."""
-    index, tags = _classify(v, check_state_vector(etas), tuple(Degradability))
+    index, tags = _classify(v, check_environment(check_state_vector(etas)), tuple(Degradability))
     return list(map(Classification, tags, index))
 
 
@@ -145,7 +145,7 @@ def batch_degradability_index(v, etas: np.ndarray) -> np.ndarray:
     channel has det T_N = 1 and a constant complement: +1.
     """
     coefficients = _cubic_coefficients(as_two_qubit(v).matrix[None])[0]
-    return _monomials(check_state_vector(etas)) @ coefficients
+    return _monomials(check_environment(check_state_vector(etas))) @ coefficients
 
 
 def _cubic_coefficients(m: np.ndarray) -> np.ndarray:

@@ -60,7 +60,8 @@ def _is_reals(x) -> bool:
 
 #: What each config field may hold; None takes the command's default.
 _FIELD_CHECKS = {
-    "grid": ("an integer", lambda x: x is None or _is_real(x) and isinstance(x, int)),
+    "grid": ("an integer of at least 2",
+             lambda x: x is None or _is_real(x) and isinstance(x, int) and x >= 2),
     "tol": ("a finite real number", lambda x: x is None or _is_real(x)),
     "params": ("a list of finite real numbers", _is_reals),
     "output_path": ("a path string", lambda x: x is None or isinstance(x, str)),
@@ -96,6 +97,7 @@ class ExperimentConfig:
         self.bracket = self.bracket or entry.bracket
 
     def optimizer_options(self) -> OptimizerOptions:
+        """The settings of ``qhtens``'s search, the one command that reads them."""
         tol = OptimizerOptions.tol if self.tol is None else self.tol
         return OptimizerOptions(grid=self.grid, tol=tol)
 
@@ -171,21 +173,20 @@ def b2_curve(t, theta: float):
 def _curve_rows(header, x_range, tags, curve):
     """Builder of the rows (x, tag, curve(x, tag)) over ``cfg.grid`` points
     of ``x_range``, tag by tag; ``--params`` replaces the tags."""
-    def build(cfg, opts):
+    def build(cfg):
         xs = np.linspace(*x_range, cfg.grid)
         return header, [(x, tag, c) for tag in cfg.params or tags
                         for x, c in zip(xs.tolist(), curve(xs, tag).tolist())]
     return build
 
 
-def _eh_swap_rows(cfg, opts):
-    rows = [(g, swap_power_helper_capacity(g, opts).value,
-             separable_helper_capacity(swap_power(g), opts).value)
+def _eh_swap_rows(cfg):
+    rows = [(g, swap_power_helper_capacity(g).value, separable_helper_capacity(swap_power(g)).value)
             for g in np.linspace(0.0, 1.0, cfg.grid)]
     return ("gamma", "qeh_tensor", "qh_tensor"), rows
 
 
-def _region_scan_rows(cfg, opts):
+def _region_scan_rows(cfg):
     axis = np.linspace(0.0, np.pi / 2, cfg.grid)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     ax, ay, az = grid.T
@@ -196,7 +197,7 @@ def _region_scan_rows(cfg, opts):
             list(zip(*(c.tolist() for c in columns))))
 
 
-def _classify_rows(cfg, opts):
+def _classify_rows(cfg):
     etas, thetas, phis = bloch_sphere_grid(cfg.grid, cfg.grid)
     index, tags = _classify(_gate_from_params(cfg.params), etas,
                             [tag.value for tag in Degradability])
@@ -204,28 +205,27 @@ def _classify_rows(cfg, opts):
     return ("theta", "phi", "index", "class"), rows
 
 
-def _qhtens_rows(cfg, opts):
-    res = separable_helper_capacity(_gate_from_params(cfg.params), opts)
+def _qhtens_rows(cfg):
+    res = separable_helper_capacity(_gate_from_params(cfg.params), cfg.optimizer_options())
     return ("value", "argmax"), [(res.value, _argmax_json(res))]
 
 
-def _jammer_rows(cfg, opts):
-    res = jammer_value(_gate_from_params(cfg.params), opts)
+def _jammer_rows(cfg):
+    res = jammer_value(_gate_from_params(cfg.params))
     return ("value", "argmax"), [(res.value, _argmax_json(res))]
 
 
-def _locate_a1(cfg, opts):
+def _locate_a1(cfg):
     """Sign change of the a1 two-copy coherent information."""
     lo, hi = cfg.bracket
     return find_zero_crossing(a1_curve, lo, hi, cfg.tol)
 
 
-def _locate_eh_swap(cfg, opts):
+def _locate_eh_swap(cfg):
     """Where the entangled-helper maximum drops to the resolution floor: the
     curve touches zero there rather than crossing, so the floor is the zero."""
     lo, hi = cfg.bracket
-    return find_zero_crossing(lambda g: swap_power_helper_capacity(g, opts).value - 1e-9,
-                              lo, hi, cfg.tol)
+    return find_zero_crossing(lambda g: swap_power_helper_capacity(g).value - 1e-9, lo, hi, cfg.tol)
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ EXPERIMENTS = tuple(name for name in COMMANDS if not name.startswith("locate "))
 def run_experiment(cfg: ExperimentConfig):
     """Run a table entry: (header, rows) for an experiment, the root for a
     ``locate`` target."""
-    return COMMANDS[cfg.experiment].build(cfg, cfg.optimizer_options())
+    return COMMANDS[cfg.experiment].build(cfg)
 
 
 def _argmax_json(res) -> str:

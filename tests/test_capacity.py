@@ -364,6 +364,11 @@ class TestSeparableHelperCapacity:
         res = separable_helper_capacity(CNOT, OptimizerOptions(grid=3))
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_closed_form_builds_no_options(self, monkeypatch):
+        # only the search reads opts, so a swap-symmetric gate never builds the defaults
+        monkeypatch.setattr(capacity, "OptimizerOptions", None)
+        assert separable_helper_capacity(swap_power(0.3)).value > 0
+
     def test_local_unitary_and_canonical_invariance(self):
         # the capacity depends only on the canonical point: local unitaries
         # on A, E (before) and B, F (after) and complex conjugation keep it
@@ -1273,9 +1278,17 @@ class TestNelderMead:
             ref = optimize.minimize(
                 lambda x: f(x[None])[0], x0, method="Nelder-Mead",
                 options=dict(initial_simplex=np.vstack([x0, x0 + 0.2 * np.eye(d)]),
-                             xatol=1e-8, fatol=1e-10, maxiter=maxiter, maxfev=2 * maxiter))
+                             xatol=1e-8, fatol=1e-10, maxiter=maxiter, maxfev=np.inf))
             assert np.array_equal(ref.x, res.x[i]) and ref.fun == res.fun[i]
             assert ref.nfev == res.calls[i] and ref.success == res.converged[i]
+
+    def test_iterations_bound_the_calls(self):
+        # the first simplex, then at most one shrink of d points after two trial points
+        d, maxiter = 5, 40
+        starts = np.random.default_rng(7).uniform(-2, 2, (6, d))
+        res = capacity.minimize(terraced, starts, 0.2, 1e-8, maxiter)
+        assert (res.calls <= (d + 1) + maxiter * (d + 2)).all()
+        assert res.calls.max() > 2 * maxiter  # no call budget stops a restart early
 
 
 def test_import_leaves_scipy_out():

@@ -9,7 +9,11 @@ import pytest
 
 from envcap import experiments
 from envcap.canonical import SWAP, canonical_unitary, swap_power
-from envcap.capacity import two_copy_curve
+from envcap.capacity import (
+    separable_helper_capacity,
+    swap_power_helper_capacity,
+    two_copy_curve,
+)
 from envcap.cli import (
     EXIT_BAD_CONFIG,
     EXIT_IO,
@@ -107,10 +111,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["qhtens", "eh_swap"])
     def test_separable_helper_grid_of_poles_rejected(self, command, capsys):
-        # grid 2 is only |0> and |1>; the entangled helper alone accepts it
-        rc, out, err = run_cli([command, "--grid", "2"], capsys)
-        assert (rc, out) == (EXIT_BAD_CONFIG, "")
-        assert "grid" in err
+        # grid 2 is only |0> and |1>: the generic search rejects it, while eh_swap's
+        # columns read no sphere grid and take it as two rows, gamma = 0 and 1
+        rc, out, err = run_cli([command, "--grid", "2", "--no-timestamp"], capsys)
+        if command == "qhtens":
+            assert (rc, out) == (EXIT_BAD_CONFIG, "")
+            assert "grid" in err
+            return
+        assert rc == EXIT_OK
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[3:]]
+        assert [r[0] for r in rows] == [0.0, 1.0]
+        for g, qeh, qh in rows:
+            assert same_bits(qeh, swap_power_helper_capacity(g).value)
+            assert same_bits(qh, separable_helper_capacity(swap_power(g)).value)
 
 
     @pytest.mark.parametrize("args", [["qhtens", "--params", "inf,0,0", "--grid", "4"],
@@ -447,9 +460,16 @@ class TestExperimentTables:
         assert EXPERIMENTS == ("a1", "a2", "a3", "b1", "b2", "eh_swap", "region_scan",
                                "classify", "qhtens", "jammer")
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig("a1", grid=1))
+    @pytest.mark.parametrize("name", [n for n in EXPERIMENTS if "grid" in COMMANDS[n].reads])
+    def test_grid_validation(self, name):
+        # a row count needs two rows; the generic separable helper's sphere needs three
+        with pytest.raises(ValueError, match="grid"):
+            run_experiment(ExperimentConfig(name, grid=1))
+        if name == "qhtens":
+            with pytest.raises(ValueError, match="grid"):
+                run_experiment(ExperimentConfig(name, grid=2))
+        else:
+            run_experiment(ExperimentConfig(name, grid=2))
 
     def test_b2_theta_optimization_window(self):
         # the optimized theta family stays positive well inside (0, 1);

@@ -111,6 +111,18 @@ class TestClassify:
         assert cl.tag is Degradability.SYMMETRIC
 
 
+@pytest.mark.parametrize("entry", [effective_channel, degradability_index,
+                                   lambda v, eta: classify_envs(v, eta[None]),
+                                   lambda v, eta: batch_degradability_index(v, eta[None])],
+                         ids=["effective_channel", "degradability_index", "classify_envs",
+                              "batch_degradability_index"])
+def test_qutrit_environment_rejected_at_the_boundary(entry):
+    # one check and one message for every entry point, not an einsum's broadcast error
+    eta = random_pure_state(3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dimension"):
+        entry(swap_power(0.3), eta)
+
+
 class TestChoiCriterion:
     def test_identity_channel_not_antidegradable(self):
         ch = KrausChannel((np.eye(2, dtype=complex),))
