@@ -36,13 +36,14 @@ from functools import cache
 import numpy as np
 
 from .canonical import SWAP
-from .channels import BipartiteUnitary, KrausChannel, as_two_qubit, effective_channel
-from .degradability import (
-    SYMMETRIC_TOL,
-    batch_degradability_index,
+from .channels import (
+    BipartiteUnitary,
+    KrausChannel,
+    as_two_qubit,
     batch_effective_kraus,
-    bloch_sphere_grid,
+    effective_channel,
 )
+from .degradability import SYMMETRIC_TOL, batch_degradability_index, bloch_sphere_grid
 from .linalg import (
     _in_ball,
     bloch_density,
@@ -131,7 +132,8 @@ def coherent_info(c: KrausChannel, rho) -> float:
 def _coherent_info(kraus: np.ndarray, rho: np.ndarray):
     """Coherent information from Kraus stacks (..., k, out, in) and inputs
     (..., in, in), broadcast over the leading axes."""
-    return _entropy_gap(*_outputs(kraus, rho))
+    out, comp = _outputs(kraus, rho)
+    return entropy(out, validate=False) - entropy(comp, validate=False)
 
 
 def _outputs(kraus: np.ndarray, rho: np.ndarray):
@@ -139,11 +141,6 @@ def _outputs(kraus: np.ndarray, rho: np.ndarray):
     kc = kraus.conj()
     return (np.einsum("...kba,...ac,...kdc->...bd", kraus, rho, kc),
             np.einsum("...kba,...ac,...lbc->...kl", kraus, rho, kc))
-
-
-def _entropy_gap(out, comp):
-    """S(out) - S(comp) over stacks of density matrices."""
-    return entropy(out, validate=False) - entropy(comp, validate=False)
 
 
 def _bloch_coherent_info(kraus: np.ndarray):
@@ -154,7 +151,8 @@ def _bloch_coherent_info(kraus: np.ndarray):
 
     def objective(x):
         r = _in_ball(x)
-        return _entropy_gap(*(m0 + (r @ m).reshape(-1, *m0.shape) for m0, m in maps))
+        out, comp = (m0 + (r @ m).reshape(-1, *m0.shape) for m0, m in maps)
+        return entropy(out, validate=False) - entropy(comp, validate=False)
     return objective
 
 
@@ -415,7 +413,6 @@ def jammer_value(v, opts: OptimizerOptions | None = None) -> CapacityResult:
     (CNOT's is 0), U is the :func:`max_coherent_info` estimate of that
     channel, and the bracket is certified only from below.
     """
-    opts = opts or OptimizerOptions()
     mixed = bloch_density(np.zeros(3))
     channel = effective_channel(v, mixed)
     out, comp = _outputs(channel.kraus, mixed)
@@ -462,9 +459,8 @@ def two_copy_curve(w, v, theta: float | None = None):
         a, inp = 1, np.array([np.sqrt(theta), 0, 0, np.sqrt(1.0 - theta)], complex)
     else:
         raise ValueError("theta must lie in [0, 1]")
-    psi = np.kron(np.kron(np.eye(2, dtype=complex)[a], maximally_entangled(2)), inp)
-    # input factors arrive as A', E', E, A, R; only |a, e, e, r, r> has amplitude p[e, r]
-    p = psi.reshape(2, 2, 2, 2, 2)[a].diagonal(0, 0, 1).diagonal(0, 0, 1)
+    # only |a, e, e, r, r> on A', E', E, A, R has an amplitude: |ee> of E'E times |rr> of AR
+    p = np.outer(maximally_entangled(2)[::3], inp[::3])
 
     def reduced(phi, order):  # order: the kept wires, then F' or B', F or B, R
         x = phi.reshape(-1, 2, 2, 2, 2, 2).transpose(0, *order).reshape(-1, 4, 8)

@@ -78,23 +78,24 @@ def check_environment(etas: np.ndarray) -> np.ndarray:
 
 
 def effective_channel(v, eta) -> KrausChannel:
-    """Channel A -> B obtained by feeding ``eta`` into the environment slot.
-
-    ``eta`` may be a state vector or a density matrix on E.  For a pure
-    environment state the Kraus operators are K_i = (I_B (x) <i|_F) V
-    (I_A (x) |eta>); a mixed eta contributes sqrt(p_j) K_{i,j} for each
-    spectral component |eta_j> with weight p_j.
-    """
-    v = as_two_qubit(v)
+    """Channel A -> B obtained by feeding ``eta``, a state vector or a density
+    matrix on E, into the environment slot: a state vector gives the stack of
+    :func:`batch_effective_kraus`, a mixed eta sqrt(p_j) times the stack at each
+    spectral component |eta_j> with weight p_j, by descending weight."""
     eta = np.asarray(eta, dtype=complex)
     if eta.ndim == 1:
-        w, vecs = np.ones(1), check_state_vector(eta)[None]
-    else:
-        w, u = np.linalg.eigh(check_density_matrix(eta))
-        keep = [j for j in np.argsort(w)[::-1] if w[j] > KRAUS_WEIGHT_FLOOR]
-        w, vecs = w[keep], u[:, keep].T
-    ops = np.einsum("bfae,je->jfba", v.matrix.reshape(2, 2, 2, 2), check_environment(vecs))
-    return KrausChannel((np.sqrt(w)[:, None, None, None] * ops).reshape(-1, 2, 2))
+        return KrausChannel(batch_effective_kraus(v, check_environment(check_state_vector(eta))))
+    w, u = np.linalg.eigh(check_density_matrix(eta))
+    keep = [j for j in np.argsort(w)[::-1] if w[j] > KRAUS_WEIGHT_FLOOR]
+    ops = batch_effective_kraus(v, check_environment(u[:, keep].T))
+    return KrausChannel((np.sqrt(w[keep])[:, None, None, None] * ops).reshape(-1, 2, 2))
+
+
+def batch_effective_kraus(v, etas) -> np.ndarray:
+    """Kraus operators K_i = (I_B (x) <i|_F) V (I_A (x) |eta>) for pure environment
+    states over the last axis of ``etas``, shape ``etas.shape[:-1] + (2, 2, 2)``
+    indexed [..., i, b, a]: the one contraction of the gate's (b, f, a, e) layout."""
+    return np.einsum("bfae,...e->...fba", as_two_qubit(v).matrix.reshape(2, 2, 2, 2), etas)
 
 
 def normal_form_stack(ops) -> tuple[np.ndarray, np.ndarray]:

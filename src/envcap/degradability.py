@@ -21,7 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KRAUS_WEIGHT_FLOOR, as_two_qubit, check_environment, normal_form_stack
+from .channels import (
+    KRAUS_WEIGHT_FLOOR,
+    as_two_qubit,
+    batch_effective_kraus,
+    check_environment,
+    normal_form_stack,
+)
 from .linalg import bloch_state, check_count, check_state_vector, in_chunks
 
 #: |index| at or below this classifies as symmetric.  The index is a
@@ -98,23 +104,16 @@ def classify_envs(v, etas: np.ndarray) -> list[Classification]:
 def bloch_sphere_grid(n_theta: int, n_phi: int | None = None):
     """Deterministic (theta, phi) grid of pure qubit states.
 
-    theta runs over [0, pi] inclusive, phi over [0, 2 pi) exclusive.
+    theta runs over [0, pi] inclusive, phi over [0, 2 pi) exclusive; each count
+    must be an integer >= 1, else ``ValueError``.
     Returns (states, thetas, phis) with states of shape (N, 2).
     """
     n_phi = n_theta if n_phi is None else n_phi
+    check_count("n_theta", n_theta, 1)
+    check_count("n_phi", n_phi, 1)
     t, p = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
                        np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False), indexing="ij")
     return bloch_state(t, p).reshape(-1, 2), t.ravel(), p.ravel()
-
-
-def batch_effective_kraus(v, etas: np.ndarray) -> np.ndarray:
-    """Kraus operators of the effective channel for pure environment states.
-
-    ``etas`` holds state vectors over its last axis; the result has shape
-    ``etas.shape[:-1] + (2, 2, 2)``, indexed [..., kraus, row, col].
-    """
-    v4 = as_two_qubit(v).matrix.reshape(2, 2, 2, 2)
-    return np.einsum("bfae,...e->...fba", v4, np.asarray(etas, dtype=complex))
 
 
 def _transfer_terms(m: np.ndarray) -> np.ndarray:

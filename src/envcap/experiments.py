@@ -92,7 +92,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name} must be {what}, not {value!r}")
-        self.grid = entry.grid if self.grid is None else self.grid
+        self.grid = entry.grid if self.grid is None and "grid" in entry.reads else self.grid
         self.tol = entry.tol if self.tol is None else self.tol
         self.bracket = self.bracket or entry.bracket
 
@@ -259,7 +259,7 @@ COMMANDS = {
     "eh_swap": Command(_eh_swap_rows, _OUTPUT | {"grid"}),
     "region_scan": Command(_region_scan_rows, _OUTPUT | {"grid"}, grid=9),
     "classify": Command(_classify_rows, _OUTPUT | {"grid", "params"}, grid=32),
-    "qhtens": Command(_qhtens_rows, _OUTPUT | {"grid", "tol", "params"}),
+    "qhtens": Command(_qhtens_rows, _OUTPUT | {"grid", "tol", "params"}, tol=OptimizerOptions.tol),
     "jammer": Command(_jammer_rows, _OUTPUT | {"params"}),
     "locate a1": Command(_locate_a1, frozenset({"bracket", "tol"}),
                          tol=1e-5, bracket=(0.5, 1.0)),

@@ -83,11 +83,11 @@ from envcap.channels import (
     BipartiteUnitary,
     KrausChannel,
     as_two_qubit,
+    batch_effective_kraus,
     effective_channel,
     normal_form_stack,
 )
 from envcap.cli import _format_value
-from envcap.degradability import batch_effective_kraus
 from envcap.experiments import B2_THETAS, b2_curve
 from envcap.linalg import (
     ENTROPY_EIG_FLOOR,

@@ -8,6 +8,7 @@ from envcap.channels import (
     BipartiteUnitary,
     KrausChannel,
     as_two_qubit,
+    batch_effective_kraus,
     effective_channel,
     normal_form_stack,
 )
@@ -111,6 +112,24 @@ class TestEffectiveChannel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             effective_channel(SWAP, random_pure_state(3, np.random.default_rng(0)))
+
+    def test_pure_env_is_the_stacked_contraction(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            v, eta = haar_unitary(4, rng), random_pure_state(2, rng)
+            assert same_bits(effective_channel(v, eta).kraus, batch_effective_kraus(v, eta))
+
+    def test_mixed_env_weights_the_stacks_at_its_eigenvectors(self):
+        # sqrt(p_j) times the stack at each eigenvector of eigh, by descending weight;
+        # a pure density matrix keeps its one nonzero component
+        rng = np.random.default_rng(33)
+        envs = [random_density_matrix(2, rng) for _ in range(20)] + [projector(KET_PLUS)]
+        for eta in envs:
+            v = haar_unitary(4, rng)
+            w, u = np.linalg.eigh(eta)
+            keep = np.flatnonzero(w > KRAUS_WEIGHT_FLOOR)[::-1]
+            want = np.sqrt(w[keep])[:, None, None, None] * batch_effective_kraus(v, u[:, keep].T)
+            assert same_bits(effective_channel(v, eta).kraus, want.reshape(-1, 2, 2))
 
 
 class TestComplementaryChannel:

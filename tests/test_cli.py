@@ -10,6 +10,7 @@ import pytest
 from envcap import experiments
 from envcap.canonical import SWAP, canonical_unitary, swap_power
 from envcap.capacity import (
+    CapacityResult,
     separable_helper_capacity,
     swap_power_helper_capacity,
     two_copy_curve,
@@ -361,6 +362,37 @@ class TestCommandTable:
         for field, flags in variants.items():
             assert result(flags) != want, field
 
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_config_states_the_settings_used(self, name, monkeypatch):
+        # grid and tol are null where the command does not read them; elsewhere they
+        # are the values its builder reads, and for qhtens the ones its search gets
+        cfg = ExperimentConfig(name)
+        echoed = json.loads(cfg.to_json())
+        reads = COMMANDS[name].reads
+        for field in ("grid", "tol"):
+            assert (echoed[field] is None) == (field not in reads), field
+
+        class Recorder:
+            def __init__(self):
+                self.read = {}
+
+            def __getattr__(self, field):
+                self.read[field] = getattr(cfg, field)
+                return self.read[field]
+
+        searches = []  # settings passed to the search; eh_swap's closed form gets none
+        monkeypatch.setattr(experiments, "separable_helper_capacity",
+                            lambda v, opts=None: searches.append(opts) or CapacityResult(0.0))
+        monkeypatch.setattr(experiments, "find_zero_crossing", lambda f, lo, hi, tol: tol)
+        recorder = Recorder()
+        COMMANDS[name].build(recorder)
+        for field in {"grid", "tol"} & set(recorder.read):
+            assert field in reads and recorder.read[field] == echoed[field], field
+        searches = [opts for opts in searches if opts is not None]
+        for opts in searches:
+            assert (opts.grid, opts.tol) == (echoed["grid"], echoed["tol"])
+        assert bool(searches) == (name == "qhtens")
+
 
 class TestWriters:
     """The CSV and JSON writers encode each distinct value of a table once;
@@ -492,13 +524,13 @@ PINNED_CSV = {
         "3f4c5e2c3ad9c9f25f924038c2e17cc126c3558bee7175d0662b0496fa89d3dd",
     # the generic separable helper: skip-mask, scored cells and the joint simplex
     "qhtens --params 0.3,0.2,0.1":
-        "aa543c271e3a2fe6880613dfc338d49f6010e5385f03db64e0a6e95a8ebaefaf",
+        "7c20233992e1a742a90176eabeba090b8ebc7d6b93fd49ac72034429223e5a14",
     # the jammer's value path: L exact, the argmax from its sign
-    "jammer": "490feb3208dff3b2a12e98ef3c38228731bcedb85c319ccd6e7d9d18d824524c",
+    "jammer": "a8baa6f1e50bbd697def4f8b9ebe503b6c33d4441b77660772248e7053092943",
     "jammer --params 0.1,0.05,0.02":
-        "9f58979d7b50894b28a5a666960e186aa6d70daf75cd34c5190889d91f7502f0",
+        "991a766485be30fa4c4069457163f2d8ee4b2b0bb29f8271727eeab4f2d07228",
     "jammer --params 0.3,0.2,0.1":
-        "35f266df3140d6310c8647e5863a169dd02a983de32035d30b38ce05e801f218",
+        "ee971ce821aeb20c0207c672863e23fb5c9bd5c5021837555c9f59032a72df94",
 }
 
 

@@ -9,12 +9,17 @@ from envcap.canonical import (
     decompose_params,
     swap_power,
 )
-from envcap.channels import KRAUS_WEIGHT_FLOOR, KrausChannel, effective_channel, normal_form_stack
+from envcap.channels import (
+    KRAUS_WEIGHT_FLOOR,
+    KrausChannel,
+    batch_effective_kraus,
+    effective_channel,
+    normal_form_stack,
+)
 from envcap.degradability import (
     SYMMETRIC_TOL,
     Degradability,
     batch_degradability_index,
-    batch_effective_kraus,
     bloch_sphere_grid,
     classify_envs,
     degradability_index,
@@ -224,6 +229,12 @@ def test_single_state_entry_points_reject_a_stack():
         degradability_index(CNOT, etas)
     with pytest.raises(ValueError):
         effective_channel(CNOT, np.array([KET0, KET_PLUS, KET0]))
+
+
+@pytest.mark.parametrize("counts", [(0,), (True,), (2.5,), (3, 0), (3, True), (3, 2.5)])
+def test_bloch_sphere_grid_counts_checked(counts):
+    with pytest.raises(ValueError):
+        bloch_sphere_grid(*counts)
 
 
 def test_bloch_sphere_grid_shape():
